@@ -31,13 +31,12 @@
 //!
 //! ## Eviction: byte-budgeted LRU
 //!
-//! Entries are charged by measured size (the pipeline's censuses already
-//! count every node of both terms), each shard owns an equal slice of the
-//! [`OptCache`] byte budget, and the budget is a hard bound: an insert
-//! evicts least-recently-used entries until the new entry fits, and an
-//! entry larger than a whole shard's slice is not cached at all. A hit
-//! refreshes the entry's LRU stamp (one counter bump under the shard lock
-//! it already holds).
+//! Entries are charged by [`entry_bytes`] (the pipeline's censuses already
+//! count every node of both terms), and each shard is a [`ByteLru`] owning
+//! an equal slice of the [`OptCache`] byte budget. The map holds the
+//! budget as a hard bound, evicts least-recently-used entries to fit an
+//! insert, refuses an entry larger than its slice, and refreshes an entry
+//! on every verified hit.
 //!
 //! ## Single-flight misses
 //!
@@ -80,6 +79,7 @@
 //! back refcounted pointers to the optimized term and its
 //! [`PipelineReport`] and runs **zero passes**.
 
+use crate::lru::ByteLru;
 use crate::pipeline::{optimize_resilient, optimize_with_report, OptConfig};
 use crate::stats::{Census, PipelineReport};
 use crate::OptError;
@@ -103,6 +103,14 @@ const NODE_BYTES: usize = 96;
 /// Fixed per-entry overhead (key, report, map slot) charged on top of the
 /// per-node cost.
 const ENTRY_OVERHEAD: usize = 256;
+
+/// Budget charge for one memoized compile, in both in-memory tiers: the
+/// measured node counts of its input and output terms times a per-node
+/// cost, plus a fixed per-entry overhead. The server's textual front
+/// cache adds the length of the source text it keeps.
+pub fn entry_bytes(report: &PipelineReport) -> usize {
+    (report.census_before.size + report.census_after.size) * NODE_BYTES + ENTRY_OVERHEAD
+}
 
 /// The full cache key: input term (up to α-equivalence), optimizer
 /// configuration, datatype environment, and pipeline mode. Public so
@@ -131,10 +139,6 @@ struct CacheEntry {
     /// High-water mark of the producing name supply; adopters advance
     /// past it so their fresh names cannot collide with names in `term`.
     supply_high: u64,
-    /// Budget charge (measured node counts × [`NODE_BYTES`]).
-    bytes: usize,
-    /// LRU stamp: the cache clock value at the last hit or insert.
-    stamp: u64,
 }
 
 /// A successfully decoded persisted entry, pending verification.
@@ -201,36 +205,11 @@ impl Flight {
     }
 }
 
-/// One shard: a byte-bounded LRU map plus the in-flight table.
-#[derive(Default)]
+/// One shard: its slice of the budget as a [`ByteLru`], plus the
+/// in-flight table under the same lock.
 struct Shard {
-    map: FxHashMap<CacheKey, CacheEntry>,
-    /// Sum of `bytes` over resident entries; never exceeds the shard's
-    /// slice of the budget.
-    bytes: usize,
+    map: ByteLru<CacheKey, CacheEntry>,
     inflight: FxHashMap<CacheKey, Arc<Flight>>,
-}
-
-impl Shard {
-    /// Evict least-recently-stamped entries until `need` bytes fit under
-    /// `budget`, then account for them. Returns evictions performed.
-    fn make_room(&mut self, need: usize, budget: usize) -> u64 {
-        let mut evicted = 0;
-        while self.bytes + need > budget && !self.map.is_empty() {
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                if let Some(e) = self.map.remove(&oldest) {
-                    self.bytes -= e.bytes;
-                    evicted += 1;
-                }
-            }
-        }
-        evicted
-    }
 }
 
 /// Point-in-time counters for one [`OptCache`].
@@ -275,10 +254,6 @@ pub struct CacheStats {
 /// module docs for keying, eviction, and soundness.
 pub struct OptCache {
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard slice of the byte budget.
-    shard_budget: usize,
-    /// Monotonic LRU clock; every hit or insert stamps the entry.
-    clock: AtomicU64,
     store: Option<Arc<dyn CacheStore>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -304,9 +279,14 @@ impl OptCache {
     pub fn with_budget(shards: usize, max_bytes: usize) -> Self {
         let shards = shards.max(1);
         OptCache {
-            shard_budget: max_bytes / shards,
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            clock: AtomicU64::new(1),
+            shards: (0..shards)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        map: ByteLru::new(max_bytes / shards),
+                        inflight: FxHashMap::default(),
+                    })
+                })
+                .collect(),
             store: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -358,14 +338,15 @@ impl OptCache {
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let (entries, bytes) = self
-            .shards
-            .iter()
-            .map(|s| {
-                let s = s.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                (s.map.len(), s.bytes)
-            })
-            .fold((0, 0), |(n, b), (n2, b2)| (n + n2, b + b2));
+        let (mut entries, mut bytes, mut budget) = (0, 0, 0);
+        for shard in &self.shards {
+            let shard = shard
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            entries += shard.map.len();
+            bytes += shard.map.bytes();
+            budget += shard.map.budget();
+        }
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -374,7 +355,7 @@ impl OptCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             entries,
             bytes,
-            budget: self.shard_budget * self.shards.len(),
+            budget,
             shards: self.shards.len(),
             disk_loads: self.disk_loads.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
@@ -392,33 +373,24 @@ impl OptCache {
             let mut shard = shard
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            shard.bytes = 0;
             shard.map.clear();
         }
     }
 
-    /// Insert (or, on a verified key collision, replace) an entry,
-    /// holding the byte budget invariant. Entries larger than a whole
-    /// shard slice are not cached.
+    /// Insert an entry into its shard's [`ByteLru`], which replaces any
+    /// resident entry under the key (a verified collision: last writer
+    /// wins, so a colliding program is never starved) and evicts to fit.
     fn insert(&self, key: CacheKey, entry: CacheEntry) {
-        let shard = self.shard_for(&key);
-        let mut guard = shard
+        let bytes = entry_bytes(&entry.report);
+        let evicted = self
+            .shard_for(&key)
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(old) = guard.map.remove(&key) {
-            // Same key, different (verified at lookup) term: replace.
-            // Last writer wins, so a colliding program is never starved.
-            guard.bytes -= old.bytes;
-        }
-        if entry.bytes > self.shard_budget {
-            return;
-        }
-        let evicted = guard.make_room(entry.bytes, self.shard_budget);
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .map
+            .insert(key, entry, bytes);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-        guard.bytes += entry.bytes;
-        guard.map.insert(key, entry);
     }
 }
 
@@ -426,12 +398,6 @@ impl Default for OptCache {
     fn default() -> Self {
         OptCache::with_budget(DEFAULT_SHARDS, DEFAULT_CACHE_BYTES)
     }
-}
-
-/// Budget charge for one entry: measured node counts of both terms times
-/// a per-node cost, plus fixed overhead.
-fn entry_cost(report: &PipelineReport) -> usize {
-    (report.census_before.size + report.census_after.size) * NODE_BYTES + ENTRY_OVERHEAD
 }
 
 /// Removes the in-flight marker and publishes failure if the leader
@@ -570,19 +536,16 @@ pub fn optimize_cached(
         let mut guard = shard
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(entry) = guard.map.get_mut(&key) {
-            // Fingerprints can collide; only a real α-walk makes the hit
-            // sound. A collision (different term, same key) falls through
-            // to a pipeline run whose insert *replaces* this entry.
-            if alpha_eq(e, &entry.input) {
-                entry.stamp = cache.clock.fetch_add(1, Ordering::Relaxed);
-                let hit = (Arc::clone(&entry.term), Arc::clone(&entry.report));
-                let supply_high = entry.supply_high;
-                drop(guard);
-                supply.advance_past(supply_high);
-                cache.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((hit.0, hit.1, true));
-            }
+        // Fingerprints can collide; only a real α-walk makes the hit
+        // sound. A collision (different term, same key) falls through to a
+        // pipeline run whose insert *replaces* the resident entry.
+        if let Some(entry) = guard.map.get(&key, |entry| alpha_eq(e, &entry.input)) {
+            let (term, report) = (Arc::clone(&entry.term), Arc::clone(&entry.report));
+            let supply_high = entry.supply_high;
+            drop(guard);
+            supply.advance_past(supply_high);
+            cache.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((term, report, true));
         }
         if let Some(flight) = guard.inflight.get(&key) {
             if alpha_eq(e, &flight.input) {
@@ -611,8 +574,6 @@ pub fn optimize_cached(
                     term: Arc::clone(&term),
                     report: Arc::clone(&report),
                     supply_high: supply.peek(),
-                    bytes: entry_cost(&report),
-                    stamp: cache.clock.fetch_add(1, Ordering::Relaxed),
                 },
             );
             return Ok((term, report, false));
@@ -666,8 +627,6 @@ pub fn optimize_cached(
                             term: Arc::clone(&term),
                             report: Arc::clone(&report),
                             supply_high: stored.supply_high,
-                            bytes: entry_cost(&report),
-                            stamp: cache.clock.fetch_add(1, Ordering::Relaxed),
                         },
                     );
                     cache.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -694,8 +653,6 @@ pub fn optimize_cached(
             term: Arc::clone(&term),
             report: Arc::clone(&report),
             supply_high,
-            bytes: entry_cost(&report),
-            stamp: cache.clock.fetch_add(1, Ordering::Relaxed),
         },
     );
     flight_guard.finish(Arc::clone(&term), Arc::clone(&report), supply_high);

@@ -28,27 +28,14 @@ use fj_ast::{
 use fj_check::{type_of, Gamma};
 
 /// Run contification over a whole term, bottom-up, converting every
-/// eligible `let` into a `join`.
+/// eligible `let` into a `join`. Also returns how many bindings were
+/// converted.
 ///
 /// # Errors
 ///
 /// Returns [`OptError::Type`] if type reconstruction fails (ill-typed
 /// input).
-pub fn contify(e: &Expr, data_env: &DataEnv) -> Result<Expr, OptError> {
-    let mut c = Contifier {
-        data_env,
-        gamma: Gamma::new(),
-        converted: 0,
-    };
-    c.go(e)
-}
-
-/// Like [`contify`], also reporting how many bindings were converted.
-///
-/// # Errors
-///
-/// As [`contify`].
-pub fn contify_counting(e: &Expr, data_env: &DataEnv) -> Result<(Expr, usize), OptError> {
+pub fn contify(e: &Expr, data_env: &DataEnv) -> Result<(Expr, usize), OptError> {
     let mut c = Contifier {
         data_env,
         gamma: Gamma::new(),

@@ -15,6 +15,7 @@
 //! erased program faithful under *all three* of our machine's modes.
 
 use crate::simplify::{simplify_once, SimplOpts};
+use crate::stats::RewriteStats;
 use crate::OptError;
 use fj_ast::{Alt, Binder, DataEnv, Expr, Ident, JoinDef, LetBind, Name, NameSupply, Type};
 use fj_check::{type_of, Gamma};
@@ -31,7 +32,7 @@ pub fn erase(e: &Expr, data_env: &DataEnv, supply: &mut NameSupply) -> Result<Ex
     // One simplifier round reaches commuting-normal form: every jump ends
     // up in tail position relative to its join binding.
     let opts = SimplOpts::default();
-    let norm = simplify_once(e, data_env, supply, &opts)?;
+    let (norm, _) = simplify_once(e, data_env, supply, &opts, &mut RewriteStats::default())?;
     debug_assert!(
         is_commuting_normal(&norm),
         "simplifier must establish commuting-normal form:\n{norm}"

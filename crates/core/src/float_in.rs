@@ -22,16 +22,12 @@
 
 use fj_ast::{mentions_any, Alt, Binder, Expr, LetBind, Name};
 
-/// Apply Float In over a whole term.
-pub fn float_in(e: &Expr) -> Expr {
-    float_in_counting(e).0
-}
-
-/// As [`float_in`], also reporting how many `let` bindings actually moved
-/// inward (each sinking step counts once, so a binding that travels past
-/// two constructs counts twice — it is a rewrite-firing count, matching
-/// the other counters of [`crate::RewriteStats`]).
-pub fn float_in_counting(e: &Expr) -> (Expr, u64) {
+/// Apply Float In over a whole term. Also returns how many `let`
+/// bindings actually moved inward (each sinking step counts once, so a
+/// binding that travels past two constructs counts twice — it is a
+/// rewrite-firing count, matching the other counters of
+/// [`crate::RewriteStats`]).
+pub fn float_in(e: &Expr) -> (Expr, u64) {
     let mut moved = 0u64;
     let out = go(e, &mut moved);
     (out, moved)
@@ -268,7 +264,7 @@ mod tests {
             Expr::prim2(PrimOp::Add, Expr::Lit(1), Expr::Lit(2)),
             Expr::ite(Expr::bool(true), Expr::var(&x.name), Expr::Lit(0)),
         );
-        let r = float_in(&e);
+        let (r, _) = float_in(&e);
         // The let moved inside the True branch.
         match &r {
             Expr::Case(_, alts) => {
@@ -289,7 +285,7 @@ mod tests {
             Expr::prim2(PrimOp::Add, Expr::Lit(1), Expr::Lit(2)),
             Expr::ite(Expr::bool(true), Expr::var(&x.name), Expr::var(&x.name)),
         );
-        let r = float_in(&e);
+        let (r, _) = float_in(&e);
         assert!(matches!(r, Expr::Let(..)), "must stay outside:\n{r}");
     }
 
@@ -303,7 +299,7 @@ mod tests {
             Expr::prim2(PrimOp::Add, Expr::Lit(1), Expr::Lit(2)),
             Expr::lam(y, Expr::var(&x.name)),
         );
-        let r = float_in(&e);
+        let (r, _) = float_in(&e);
         assert!(
             matches!(r, Expr::Let(..)),
             "must stay outside lambdas:\n{r}"
@@ -334,7 +330,7 @@ mod tests {
                 ],
             ),
         );
-        let r = float_in(&e);
+        let (r, _) = float_in(&e);
         match &r {
             Expr::Case(s, _) => assert!(matches!(&**s, Expr::Let(..)), "got:\n{r}"),
             other => panic!("expected case at top, got:\n{other}"),
@@ -369,7 +365,7 @@ mod tests {
                 };
                 let outer = Expr::ite(Expr::bool(true), Expr::unshare(body), Expr::Lit(7));
                 let e = Expr::letrec(binds, outer);
-                let r = float_in(&e);
+                let (r, _) = float_in(&e);
                 match &r {
                     Expr::Case(_, alts) => {
                         assert!(matches!(alts[0].rhs, Expr::Let(..)), "got:\n{r}");

@@ -13,14 +13,9 @@
 
 use fj_ast::{occurs_free, Alt, Binder, Expr, LetBind};
 
-/// Apply Float Out over a whole term.
-pub fn float_out(e: &Expr) -> Expr {
-    float_out_counting(e).0
-}
-
-/// As [`float_out`], also counting the `let` bindings hoisted past a
-/// lambda (for pass-level reporting).
-pub fn float_out_counting(e: &Expr) -> (Expr, u64) {
+/// Apply Float Out over a whole term. Also returns how many `let`
+/// bindings were hoisted past a lambda (for pass-level reporting).
+pub fn float_out(e: &Expr) -> (Expr, u64) {
     let mut hoisted = 0u64;
     let out = go(e, &mut hoisted);
     (out, hoisted)
@@ -125,7 +120,7 @@ mod tests {
                 Expr::prim2(PrimOp::Add, Expr::var(&x.name), Expr::var(&k.name)),
             ),
         );
-        let r = float_out(&e);
+        let (r, _) = float_out(&e);
         assert!(matches!(r, Expr::Let(..)), "binding must hoist:\n{r}");
         let apply = Expr::app(r, Expr::Lit(10));
         assert_eq!(run_int(&apply, EvalMode::CallByName, 10_000).unwrap(), 13);
@@ -144,7 +139,7 @@ mod tests {
                 Expr::var(&k.name),
             ),
         );
-        let r = float_out(&e);
+        let (r, _) = float_out(&e);
         assert!(
             matches!(r, Expr::Lam(..)),
             "dependent binding must stay:\n{r}"
@@ -172,7 +167,7 @@ mod tests {
             },
             |_, go| Expr::jump(go, vec![], vec![Expr::Lit(5)], Type::Int),
         );
-        let r = float_out(&e);
+        let (r, _) = float_out(&e);
         assert!(matches!(r, Expr::Join(..)));
         assert!(fj_check::lint(&r, &env).is_ok());
         assert_eq!(
@@ -211,7 +206,7 @@ mod tests {
                 Expr::app(Expr::var(&f.name), Expr::Lit(2)),
             ),
         );
-        let r = float_out(&e);
+        let (r, _) = float_out(&e);
         let before = run(&e, EvalMode::CallByValue, 100_000).unwrap();
         let after = run(&r, EvalMode::CallByValue, 100_000).unwrap();
         assert_eq!(before.value, after.value);

@@ -64,6 +64,7 @@ mod erase;
 mod float_in;
 mod float_out;
 pub mod guard;
+mod lru;
 pub mod occur;
 pub mod simplify;
 pub mod stats;
@@ -78,21 +79,21 @@ pub use cache::{
     optimize_cached, CacheKey, CacheStats, CacheStore, DiskLoad, OptCache, StoredEntry,
     DEFAULT_CACHE_BYTES, DEFAULT_SHARDS,
 };
-pub use contify::{contify, contify_counting};
+pub use contify::contify;
 pub use cse::{cse, CseOutcome};
 pub use erase::{erase, is_commuting_normal};
-pub use float_in::{float_in, float_in_counting};
-pub use float_out::{float_out, float_out_counting};
+pub use float_in::float_in;
+pub use float_out::float_out;
 pub use guard::{
     leaked_guard_workers, panic_message, quiet_panics, PassCtx, PassResult, PassTap,
     RollbackReason, MAX_LEAKED_WORKERS,
 };
+pub use lru::ByteLru;
 pub use par::{optimize_many, par_map, par_threads, BoundedQueue};
 pub use pipeline::{
-    apply_pass, optimize, optimize_resilient, optimize_with_report, optimize_with_stats, OptConfig,
-    OptStats, Pass,
+    apply_pass, optimize, optimize_resilient, optimize_with_report, OptConfig, Pass,
 };
-pub use simplify::{simplify, simplify_once, simplify_once_stats, simplify_stats, SimplOpts};
+pub use simplify::{simplify_once, SimplOpts};
 pub use stats::{Census, PassOutcome, PassStats, PipelineReport, RewriteStats};
 
 use fj_check::LintError;

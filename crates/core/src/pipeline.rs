@@ -13,12 +13,12 @@
 //!   compiles them efficiently" but cannot stop earlier passes from
 //!   destroying the opportunities.
 
-use crate::contify::contify_counting;
+use crate::contify::contify;
 use crate::cse::cse;
-use crate::float_in::float_in_counting;
-use crate::float_out::float_out_counting;
+use crate::float_in::float_in;
+use crate::float_out::float_out;
 use crate::guard::{run_pass_guarded, PassTap, RollbackReason};
-use crate::simplify::{simplify_once_changed, SimplOpts};
+use crate::simplify::{simplify_once, SimplOpts};
 use crate::stats::{Census, PassOutcome, PassStats, PipelineReport, RewriteStats};
 use crate::OptError;
 use fj_ast::{DataEnv, Expr, NameSupply};
@@ -202,24 +202,12 @@ impl OptConfig {
         self.simpl.join_points.hash(&mut h);
         self.simpl.inline_size.hash(&mut h);
         self.simpl.dup_size.hash(&mut h);
-        self.simpl.max_rounds.hash(&mut h);
         self.lint_between.hash(&mut h);
         self.pass_deadline.hash(&mut h);
         self.max_growth.map(f64::to_bits).hash(&mut h);
         self.max_passes.hash(&mut h);
         Some(h.finish())
     }
-}
-
-/// What the pipeline did, for reporting.
-#[derive(Clone, Debug, Default)]
-pub struct OptStats {
-    /// Names of the passes that ran, in order.
-    pub passes_run: Vec<&'static str>,
-    /// Term size before optimization.
-    pub size_before: usize,
-    /// Term size after optimization.
-    pub size_after: usize,
 }
 
 /// Run a pipeline over a closed, well-typed term.
@@ -236,26 +224,6 @@ pub fn optimize(
     cfg: &OptConfig,
 ) -> Result<Expr, OptError> {
     optimize_with_report(e, data_env, supply, cfg).map(|(e, _)| e)
-}
-
-/// As [`optimize`], also returning [`OptStats`].
-///
-/// # Errors
-///
-/// As [`optimize`].
-pub fn optimize_with_stats(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    cfg: &OptConfig,
-) -> Result<(Expr, OptStats), OptError> {
-    let (out, report) = optimize_with_report(e, data_env, supply, cfg)?;
-    let stats = OptStats {
-        passes_run: report.passes.iter().map(|p| p.pass).collect(),
-        size_before: report.census_before.size,
-        size_after: report.census_after.size,
-    };
-    Ok((out, stats))
 }
 
 /// Run one pass over a term, returning the output, the rewrite counters
@@ -284,19 +252,19 @@ pub fn apply_pass(
 ) -> Result<(Expr, RewriteStats, bool), OptError> {
     let mut rw = RewriteStats::default();
     let (out, changed) = match pass {
-        Pass::Simplify => simplify_once_changed(e, data_env, supply, simpl, &mut rw)?,
+        Pass::Simplify => simplify_once(e, data_env, supply, simpl, &mut rw)?,
         Pass::Contify => {
-            let (out, n) = contify_counting(e, data_env)?;
+            let (out, n) = contify(e, data_env)?;
             rw.contified = n as u64;
             (out, n > 0)
         }
         Pass::FloatIn => {
-            let (out, n) = float_in_counting(e);
+            let (out, n) = float_in(e);
             rw.floated_in = n;
             (out, n > 0)
         }
         Pass::FloatOut => {
-            let (out, n) = float_out_counting(e);
+            let (out, n) = float_out(e);
             rw.floated_out = n;
             (out, n > 0)
         }

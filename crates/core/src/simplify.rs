@@ -40,8 +40,8 @@ use crate::occur::{analyze, OccCount, OccMap};
 use crate::stats::RewriteStats;
 use crate::OptError;
 use fj_ast::{
-    alpha_fingerprint, free_labels, mentions_label, Alt, AltCon, Binder, DataEnv, Expr, FxHashMap,
-    JoinBind, JoinDef, LetBind, Name, NameSupply, PrimResult, Type,
+    free_labels, mentions_label, Alt, AltCon, Binder, DataEnv, Expr, FxHashMap, JoinBind, JoinDef,
+    LetBind, Name, NameSupply, PrimResult, Type,
 };
 use fj_check::{type_of, Gamma};
 
@@ -57,8 +57,6 @@ pub struct SimplOpts {
     /// bigger contexts are shared through a fresh join point (or a
     /// `let`-bound function in baseline mode).
     pub dup_size: usize,
-    /// Maximum simplifier rounds before settling.
-    pub max_rounds: usize,
 }
 
 impl Default for SimplOpts {
@@ -67,7 +65,6 @@ impl Default for SimplOpts {
             join_points: true,
             inline_size: 24,
             dup_size: 18,
-            max_rounds: 6,
         }
     }
 }
@@ -83,48 +80,19 @@ impl SimplOpts {
     }
 }
 
-/// One simplifier round.
+/// One simplifier round, accumulating rewrite-firing counters into
+/// `stats` (the per-pass observability of [`crate::PipelineReport`]) and
+/// reporting whether the round rewrote anything at all. The flag covers
+/// rewrites the counters do not (e.g. trivial-atom substitution), so
+/// `changed == false` is a sound witness that the output is the input,
+/// which the pipeline uses to skip re-lint, census, and repeat runs of
+/// the same pass.
 ///
 /// # Errors
 ///
 /// Returns [`OptError`] if the input is ill-typed in a way the traversal
 /// trips over (run the linter first for a precise report).
 pub fn simplify_once(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    opts: &SimplOpts,
-) -> Result<Expr, OptError> {
-    let mut scratch = RewriteStats::default();
-    simplify_once_stats(e, data_env, supply, opts, &mut scratch)
-}
-
-/// As [`simplify_once`], also accumulating rewrite-firing counters into
-/// `stats` (the per-pass observability of [`crate::PipelineReport`]).
-///
-/// # Errors
-///
-/// As [`simplify_once`].
-pub fn simplify_once_stats(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    opts: &SimplOpts,
-    stats: &mut RewriteStats,
-) -> Result<Expr, OptError> {
-    simplify_once_changed(e, data_env, supply, opts, stats).map(|(e, _)| e)
-}
-
-/// As [`simplify_once_stats`], also reporting whether the round rewrote
-/// anything at all. The flag covers rewrites the counters do not (e.g.
-/// trivial-atom substitution), so `changed == false` is a sound witness
-/// that the output is the input, which the pipeline uses to skip re-lint,
-/// census, and repeat runs of the same pass.
-///
-/// # Errors
-///
-/// As [`simplify_once`].
-pub fn simplify_once_changed(
     e: &Expr,
     data_env: &DataEnv,
     supply: &mut NameSupply,
@@ -146,55 +114,6 @@ pub fn simplify_once_changed(
     let out = s.simpl(e, Cont::Stop)?;
     let changed = s.changed;
     Ok((out, changed))
-}
-
-/// Run simplifier rounds until the term stops changing (α-fingerprint) or
-/// `opts.max_rounds` is hit.
-///
-/// # Errors
-///
-/// As [`simplify_once`].
-pub fn simplify(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    opts: &SimplOpts,
-) -> Result<Expr, OptError> {
-    let mut scratch = RewriteStats::default();
-    simplify_stats(e, data_env, supply, opts, &mut scratch)
-}
-
-/// As [`simplify`], also accumulating rewrite-firing counters across all
-/// rounds into `stats`.
-///
-/// # Errors
-///
-/// As [`simplify_once`].
-pub fn simplify_stats(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    opts: &SimplOpts,
-    stats: &mut RewriteStats,
-) -> Result<Expr, OptError> {
-    let mut cur = e.clone();
-    // The fingerprint of `cur`, computed lazily: a round that reports
-    // `changed == false` exits without fingerprinting anything at all.
-    let mut fp = None;
-    for _ in 0..opts.max_rounds {
-        let (next, changed) = simplify_once_changed(&cur, data_env, supply, opts, stats)?;
-        if !changed {
-            break;
-        }
-        let prev = fp.unwrap_or_else(|| alpha_fingerprint(&cur));
-        let nfp = alpha_fingerprint(&next);
-        cur = next;
-        if nfp == prev {
-            break;
-        }
-        fp = Some(nfp);
-    }
-    Ok(cur)
 }
 
 /// The reified evaluation context `E`, innermost frame first.

@@ -2,7 +2,7 @@
 //! through the pipeline and validated against the abstract machine and
 //! Core Lint.
 
-use crate::{contify, contify_counting, erase, optimize, simplify, OptConfig, SimplOpts};
+use crate::{contify, erase, optimize, simplify_once, OptConfig, RewriteStats, SimplOpts};
 use fj_ast::{
     alpha_eq, Alt, AltCon, Binder, DataEnv, Dsl, Expr, Ident, JoinDef, NameSupply, PrimOp, Type,
 };
@@ -219,7 +219,7 @@ fn find_any_contifies_and_fuses() {
     let program = d.case_maybe(Type::Int, find, Expr::bool(false), |_, _| Expr::bool(true));
 
     // Contification alone converts go.
-    let (contified, n) = contify_counting(&program, &d.data_env).unwrap();
+    let (contified, n) = contify(&program, &d.data_env).unwrap();
     assert_eq!(n, 1, "go must contify:\n{contified}");
     assert!(lint(&contified, &d.data_env).is_ok());
 
@@ -257,7 +257,7 @@ fn non_tail_call_not_contified() {
             Expr::app(Expr::var(&f.name), Expr::Lit(1)),
         ),
     );
-    let (out, n) = contify_counting(&e, &d.data_env).unwrap();
+    let (out, n) = contify(&e, &d.data_env).unwrap();
     assert_eq!(n, 0, "must not contify:\n{out}");
 }
 
@@ -279,7 +279,7 @@ fn return_type_mismatch_not_contified() {
             Expr::Lit(0),
         ),
     );
-    let (_, n) = contify_counting(&e, &d.data_env).unwrap();
+    let (_, n) = contify(&e, &d.data_env).unwrap();
     assert_eq!(n, 0);
 }
 
@@ -474,15 +474,30 @@ fn erasure_is_sound() {
     }
 }
 
-/// `simplify` is idempotent at its fixpoint.
+/// Simplifier rounds reach a fixpoint: driven until a round reports no
+/// change, and that round's output is its input.
 #[test]
 fn simplify_reaches_fixpoint() {
     let mut d = Dsl::new();
     let (_, program) = null_program(&mut d);
     let opts = SimplOpts::default();
-    let once = simplify(&program, &d.data_env, &mut d.supply, &opts).unwrap();
-    let twice = simplify(&once, &d.data_env, &mut d.supply, &opts).unwrap();
-    assert!(alpha_eq(&once, &twice), "\nonce:\n{once}\ntwice:\n{twice}");
+    let mut cur = program;
+    for _ in 0..8 {
+        let (next, changed) = simplify_once(
+            &cur,
+            &d.data_env,
+            &mut d.supply,
+            &opts,
+            &mut RewriteStats::default(),
+        )
+        .unwrap();
+        if !changed {
+            assert!(alpha_eq(&cur, &next), "\nin:\n{cur}\nout:\n{next}");
+            return;
+        }
+        cur = next;
+    }
+    panic!("no fixpoint within 8 rounds:\n{cur}");
 }
 
 /// Constant folding composes with case-of-literal.
@@ -519,7 +534,7 @@ fn contify_simple_tail_function() {
             Expr::app(Expr::var(&f.name), Expr::Lit(2)),
         ),
     );
-    let out = contify(&e, &d.data_env).unwrap();
+    let (out, _) = contify(&e, &d.data_env).unwrap();
     assert!(matches!(out, Expr::Join(..)), "got:\n{out}");
     lint(&out, &d.data_env).unwrap();
     assert_eq!(run_int(&out, EvalMode::CallByName, FUEL).unwrap(), 2);
@@ -536,7 +551,7 @@ fn data_env_available() {
 /// the checker recognizes tail vs non-tail jumps correctly.
 #[test]
 fn commuting_normal_form_detection() {
-    use crate::{is_commuting_normal, simplify_once, SimplOpts};
+    use crate::is_commuting_normal;
     let mut d = Dsl::new();
     let j = d.name("j");
     let x = d.binder("x", Type::Int);
@@ -580,7 +595,14 @@ fn commuting_normal_form_detection() {
 
     // One simplifier round reaches commuting-normal form (Lemma 4's
     // constructive content).
-    let norm = simplify_once(&non_tail, &d.data_env, &mut d.supply, &SimplOpts::default()).unwrap();
+    let (norm, _) = simplify_once(
+        &non_tail,
+        &d.data_env,
+        &mut d.supply,
+        &SimplOpts::default(),
+        &mut RewriteStats::default(),
+    )
+    .unwrap();
     assert!(is_commuting_normal(&norm), "not normal:\n{norm}");
     assert_eq!(run_int(&norm, EvalMode::CallByName, FUEL).unwrap(), 2);
 }
@@ -588,7 +610,7 @@ fn commuting_normal_form_detection() {
 /// Jump in a case scrutinee is non-tail; the simplifier aborts the case.
 #[test]
 fn scrutinee_jump_aborts() {
-    use crate::{is_commuting_normal, simplify_once, SimplOpts};
+    use crate::is_commuting_normal;
     let mut d = Dsl::new();
     let j = d.name("j");
     let x = d.binder("x", Type::Int);
@@ -609,7 +631,14 @@ fn scrutinee_jump_aborts() {
     );
     lint(&e, &d.data_env).unwrap();
     assert!(!is_commuting_normal(&e));
-    let norm = simplify_once(&e, &d.data_env, &mut d.supply, &SimplOpts::default()).unwrap();
+    let (norm, _) = simplify_once(
+        &e,
+        &d.data_env,
+        &mut d.supply,
+        &SimplOpts::default(),
+        &mut RewriteStats::default(),
+    )
+    .unwrap();
     assert!(is_commuting_normal(&norm));
     // The case was dead code (the scrutinee never returns): result is 5.
     assert_eq!(run_int(&norm, EvalMode::CallByName, FUEL).unwrap(), 5);

@@ -34,7 +34,7 @@ pub mod candles;
 pub mod fusion_exp;
 pub mod vm_ops;
 
-use fj_core::{optimize, optimize_with_report, OptConfig, PipelineReport};
+use fj_core::{optimize_with_report, OptConfig, PipelineReport};
 use fj_eval::{run, EvalMode, Metrics, Value};
 use fj_surface::compile;
 
@@ -139,10 +139,15 @@ impl Backend {
 ///
 /// As [`measure`] — benchmarks are expected to be well-formed.
 pub fn lower(source: &str, cfg: &OptConfig) -> fj_ast::Expr {
+    lower_with_report(source, cfg).0
+}
+
+/// As [`lower`], also returning the optimizer's [`PipelineReport`].
+fn lower_with_report(source: &str, cfg: &OptConfig) -> (fj_ast::Expr, PipelineReport) {
     let mut lowered = compile(source).unwrap_or_else(|e| panic!("compile: {e}"));
     fj_check::lint(&lowered.expr, &lowered.data_env)
         .unwrap_or_else(|e| panic!("lint: {e}\n{}", lowered.expr));
-    optimize(&lowered.expr, &lowered.data_env, &mut lowered.supply, cfg)
+    optimize_with_report(&lowered.expr, &lowered.data_env, &mut lowered.supply, cfg)
         .unwrap_or_else(|e| panic!("optimize: {e}"))
 }
 
@@ -200,16 +205,8 @@ impl Row {
 /// expected to be well-formed; a failure is a harness bug worth a loud
 /// stop.
 pub fn measure(source: &str, cfg: &OptConfig) -> (i64, Metrics) {
-    let mut lowered = compile(source).unwrap_or_else(|e| panic!("compile: {e}"));
-    fj_check::lint(&lowered.expr, &lowered.data_env)
-        .unwrap_or_else(|e| panic!("lint: {e}\n{}", lowered.expr));
-    let out = optimize(&lowered.expr, &lowered.data_env, &mut lowered.supply, cfg)
-        .unwrap_or_else(|e| panic!("optimize: {e}"));
-    let o = run(&out, EvalMode::CallByValue, FUEL).unwrap_or_else(|e| panic!("eval: {e}\n{out}"));
-    match o.value {
-        Value::Int(n) => (n, o.metrics),
-        other => panic!("benchmark main must return Int, got {other}"),
-    }
+    let (n, metrics, _) = measure_with_report(source, cfg);
+    (n, metrics)
 }
 
 /// As [`measure`], also returning the optimizer's per-pass
@@ -219,12 +216,7 @@ pub fn measure(source: &str, cfg: &OptConfig) -> (i64, Metrics) {
 ///
 /// As [`measure`].
 pub fn measure_with_report(source: &str, cfg: &OptConfig) -> (i64, Metrics, PipelineReport) {
-    let mut lowered = compile(source).unwrap_or_else(|e| panic!("compile: {e}"));
-    fj_check::lint(&lowered.expr, &lowered.data_env)
-        .unwrap_or_else(|e| panic!("lint: {e}\n{}", lowered.expr));
-    let (out, report) =
-        optimize_with_report(&lowered.expr, &lowered.data_env, &mut lowered.supply, cfg)
-            .unwrap_or_else(|e| panic!("optimize: {e}"));
+    let (out, report) = lower_with_report(source, cfg);
     let o = run(&out, EvalMode::CallByValue, FUEL).unwrap_or_else(|e| panic!("eval: {e}\n{out}"));
     match o.value {
         Value::Int(n) => (n, o.metrics, report),

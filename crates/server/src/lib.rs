@@ -69,11 +69,11 @@ pub use persist::FileStore;
 pub use service::{accept_backoff, serve, ServeConfig, ServiceSnapshot};
 
 use fj_ast::{alpha_fingerprint, DataEnv, Expr, NameSupply};
-use fj_core::cache::{CacheStore, OptCache, DEFAULT_CACHE_BYTES, DEFAULT_SHARDS};
+use fj_core::cache::{entry_bytes, CacheStore, OptCache, DEFAULT_CACHE_BYTES, DEFAULT_SHARDS};
 use fj_core::stats::PipelineReport;
 use fj_core::{
     leaked_guard_workers, optimize_cached, optimize_resilient, optimize_with_report, BudgetKind,
-    CacheStats, OptConfig, OptError,
+    ByteLru, CacheStats, OptConfig, OptError,
 };
 use fj_eval::{EvalMode, MachineError, Metrics, Outcome};
 use fj_surface::SurfaceError;
@@ -330,27 +330,10 @@ struct SourceEntry {
     report: Arc<PipelineReport>,
     data_env: Arc<DataEnv>,
     supply: NameSupply,
-    /// Budget charge: source bytes plus an estimate of both terms.
-    bytes: usize,
-    /// LRU stamp (the server's source clock at the last hit or insert).
-    stamp: u64,
 }
 
-/// One shard of the textual front cache: a byte-bounded LRU map.
-#[derive(Default)]
-struct SourceShard {
-    map: std::collections::HashMap<SourceKey, SourceEntry>,
-    /// Sum of `bytes` over resident entries; bounded by the per-shard
-    /// slice of the budget.
-    bytes: usize,
-}
-
-/// Per-node byte estimate when charging a source entry's retained terms
-/// against the budget (mirrors the term cache's own accounting).
-const SOURCE_NODE_BYTES: usize = 96;
-
-/// Fixed overhead charged per source entry.
-const SOURCE_ENTRY_OVERHEAD: usize = 256;
+/// One shard of the textual front cache: its slice of the byte budget.
+type SourceShard = ByteLru<SourceKey, SourceEntry>;
 
 fn source_hash(source: &str) -> u64 {
     use std::hash::{Hash, Hasher};
@@ -375,10 +358,6 @@ fn source_hash(source: &str) -> u64 {
 pub struct ServerState {
     cache: OptCache,
     sources: Vec<Mutex<SourceShard>>,
-    /// Per-shard slice of the textual layer's byte budget.
-    source_budget: usize,
-    /// Monotonic LRU clock for the textual layer.
-    source_clock: AtomicU64,
     source_hits: AtomicU64,
     requests: AtomicU64,
     started: Instant,
@@ -403,10 +382,8 @@ impl ServerState {
         ServerState {
             cache: OptCache::with_budget(shards, cache_bytes),
             sources: (0..shards)
-                .map(|_| Mutex::new(SourceShard::default()))
+                .map(|_| Mutex::new(ByteLru::new(cache_bytes / shards)))
                 .collect(),
-            source_budget: cache_bytes / shards,
-            source_clock: AtomicU64::new(1),
             source_hits: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             started: Instant::now(),
@@ -476,12 +453,8 @@ impl ServerState {
 
     fn source_lookup(&self, key: SourceKey, source: &str) -> Option<Compiled> {
         let mut shard = self.lock_sources(&key);
-        let entry = shard.map.get_mut(&key)?;
         // The hash key can collide; the stored text makes the hit exact.
-        if entry.source != source {
-            return None;
-        }
-        entry.stamp = self.source_clock.fetch_add(1, Ordering::Relaxed);
+        let entry = shard.get(&key, |entry| entry.source == source)?;
         Some(Compiled {
             term: Arc::clone(&entry.term),
             report: Arc::clone(&entry.report),
@@ -492,48 +465,20 @@ impl ServerState {
     }
 
     fn source_insert(&self, key: SourceKey, source: &str, compiled: &Compiled) {
-        let cost = source.len()
-            + (compiled.report.census_before.size + compiled.report.census_after.size)
-                * SOURCE_NODE_BYTES
-            + SOURCE_ENTRY_OVERHEAD;
-        if cost > self.source_budget {
-            return;
-        }
-        let mut shard = self.lock_sources(&key);
         // This insert only runs after a full compile, i.e. after
         // `source_lookup` declined — either the key is vacant or it holds
-        // a *different* source that hashed onto it. Replacing (rather
-        // than keeping the incumbent) means a collision can never starve
-        // a program of caching: last writer wins.
-        if let Some(old) = shard.map.remove(&key) {
-            shard.bytes -= old.bytes;
-        }
-        // Byte-budgeted LRU, matching the term cache's policy.
-        while shard.bytes + cost > self.source_budget && !shard.map.is_empty() {
-            if let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                if let Some(e) = shard.map.remove(&oldest) {
-                    shard.bytes -= e.bytes;
-                }
-            }
-        }
-        shard.bytes += cost;
-        shard.map.insert(
-            key,
-            SourceEntry {
-                source: source.to_string(),
-                term: Arc::clone(&compiled.term),
-                report: Arc::clone(&compiled.report),
-                data_env: Arc::clone(&compiled.data_env),
-                supply: compiled.supply.clone(),
-                bytes: cost,
-                stamp: self.source_clock.fetch_add(1, Ordering::Relaxed),
-            },
-        );
+        // a *different* source that hashed onto it, which the insert
+        // replaces: last writer wins, so a collision never starves a
+        // program of caching.
+        let entry = SourceEntry {
+            source: source.to_string(),
+            term: Arc::clone(&compiled.term),
+            report: Arc::clone(&compiled.report),
+            data_env: Arc::clone(&compiled.data_env),
+            supply: compiled.supply.clone(),
+        };
+        let bytes = source.len() + entry_bytes(&compiled.report);
+        self.lock_sources(&key).insert(key, entry, bytes);
     }
 
     /// Occupancy of the textual front cache: `(entries, bytes)` summed
@@ -543,7 +488,7 @@ impl ServerState {
             .iter()
             .map(|s| {
                 let s = s.lock().unwrap_or_else(PoisonError::into_inner);
-                (s.map.len(), s.bytes)
+                (s.len(), s.bytes())
             })
             .fold((0, 0), |(n, b), (n2, b2)| (n + n2, b + b2))
     }

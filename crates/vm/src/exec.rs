@@ -77,6 +77,27 @@ pub struct Vm<'p> {
     frames: Vec<FrameV>,
     base: usize,
     empty_fields: Rc<Vec<VmValue>>,
+    /// Every `letrec` cell this run backpatched with a capture of its own
+    /// group (itself included): an `Rc` cycle nothing else frees, which
+    /// dropping the VM breaks. Cells capturing no sibling are not cyclic,
+    /// so they are left out and die when unreachable, as before.
+    rec_closures: Vec<Rc<ClosureCell>>,
+    rec_thunks: Vec<Rc<ThunkCell>>,
+}
+
+impl Drop for Vm<'_> {
+    fn drop(&mut self) {
+        // Nothing of the run outlives the VM (answers are deep-forced into
+        // `Value`s), so emptying the cells' captures and memo slots is
+        // unobservable and leaves every cycle open.
+        for cell in &self.rec_closures {
+            cell.env.take();
+        }
+        for cell in &self.rec_thunks {
+            cell.env.take();
+            cell.state.replace(ThunkState::Pending);
+        }
+    }
 }
 
 /// Run a compiled program to a deeply forced value.
@@ -141,6 +162,8 @@ impl<'p> Vm<'p> {
             frames: Vec::with_capacity(64),
             base: 0,
             empty_fields: Rc::new(Vec::new()),
+            rec_closures: Vec::new(),
+            rec_thunks: Vec::new(),
         }
     }
 
@@ -297,9 +320,22 @@ impl<'p> Vm<'p> {
                             .iter()
                             .map(|&i| self.env[self.base + i as usize].clone())
                             .collect();
+                        let cyclic = captures
+                            .iter()
+                            .any(|&i| self.base + i as usize >= group_base);
                         match &self.env[group_base + k] {
-                            VmValue::Closure(c) => *c.env.borrow_mut() = vals,
-                            VmValue::Thunk(t) => *t.env.borrow_mut() = vals,
+                            VmValue::Closure(c) => {
+                                *c.env.borrow_mut() = vals;
+                                if cyclic {
+                                    self.rec_closures.push(Rc::clone(c));
+                                }
+                            }
+                            VmValue::Thunk(t) => {
+                                *t.env.borrow_mut() = vals;
+                                if cyclic {
+                                    self.rec_thunks.push(Rc::clone(t));
+                                }
+                            }
                             _ => unreachable!("phase 1 pushed a cell here"),
                         }
                     }
@@ -663,6 +699,88 @@ impl<'p> Vm<'p> {
                 let w = self.force_cell(cell)?;
                 self.deep(&w, depth - 1)
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fj_ast::{Binder, Expr, Ident, NameSupply, PrimOp, Type};
+    use std::any::Any;
+    use std::rc::Weak;
+
+    const MODES: [EvalMode; 3] = [
+        EvalMode::CallByValue,
+        EvalMode::CallByName,
+        EvalMode::CallByNeed,
+    ];
+
+    /// The heap cell behind a weak-head answer (for a constructor, behind
+    /// its last field).
+    fn weak_cell(v: &VmValue) -> Weak<dyn Any> {
+        let cell: Rc<dyn Any> = match v {
+            VmValue::Closure(c) => c.clone(),
+            VmValue::Thunk(t) => t.clone(),
+            VmValue::Con(_, fields) => return weak_cell(fields.last().expect("a field")),
+            VmValue::Int(n) => panic!("expected a heap cell, got {n}"),
+        };
+        Rc::downgrade(&cell)
+    }
+
+    /// Whether the answer's cell is still alive once the run that made it
+    /// (and every value it returned) is gone.
+    fn answer_outlives_run(e: &Expr, mode: EvalMode) -> bool {
+        let prog = crate::compile(e, mode).unwrap();
+        let weak = {
+            let mut vm = Vm::new(&prog, 1_000_000, None);
+            let answer = vm
+                .run_code(prog.entry(), Vec::new(), None, &mut NoTrace)
+                .unwrap();
+            if let VmValue::Thunk(cell) = &answer {
+                // Force it, so call-by-need memoizes a self-reference.
+                vm.force_cell(cell).unwrap();
+            }
+            weak_cell(&answer)
+        };
+        weak.upgrade().is_some()
+    }
+
+    /// Regression: `letrec` cells capture themselves, and those cycles
+    /// used to outlive the run, leaking every recursive cell of every run.
+    #[test]
+    fn letrec_cells_die_with_the_run() {
+        let mut s = NameSupply::new();
+        let (f, n, xs) = (s.fresh("f"), s.fresh("n"), s.fresh("xs"));
+        // letrec f = \n. if n < 1 then 0 else f (n - 1) in f
+        let body = Expr::ite(
+            Expr::prim2(PrimOp::Lt, Expr::var(&n), Expr::Lit(1)),
+            Expr::Lit(0),
+            Expr::app(
+                Expr::var(&f),
+                Expr::prim2(PrimOp::Sub, Expr::var(&n), Expr::Lit(1)),
+            ),
+        );
+        let function = Expr::letrec(
+            vec![(
+                Binder::new(f.clone(), Type::fun(Type::Int, Type::Int)),
+                Expr::lam(Binder::new(n, Type::Int), body),
+            )],
+            Expr::var(&f),
+        );
+        // letrec xs = Cons 1 xs in xs
+        let ones = Expr::Con(
+            Ident::new("Cons"),
+            vec![Type::Int],
+            vec![Expr::Lit(1), Expr::var(&xs)],
+        );
+        let stream = Expr::letrec(
+            vec![(Binder::new(xs.clone(), Type::Int), ones)],
+            Expr::var(&xs),
+        );
+        for mode in MODES {
+            assert!(!answer_outlives_run(&function, mode), "{mode:?}: closure");
+            assert!(!answer_outlives_run(&stream, mode), "{mode:?}: thunk");
         }
     }
 }

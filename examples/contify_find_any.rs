@@ -11,7 +11,7 @@
 
 use system_fj::ast::{Dsl, Expr, PrimOp, Type};
 use system_fj::check::lint;
-use system_fj::core::{contify_counting, optimize, OptConfig};
+use system_fj::core::{contify, optimize, OptConfig};
 use system_fj::eval::{run, EvalMode};
 
 fn build(d: &mut Dsl, n: i64) -> Expr {
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- input: any = case find of ... ---\n{program}\n");
 
     // Step 1: contification alone.
-    let (contified, n) = contify_counting(&program, &d.data_env)?;
+    let (contified, n) = contify(&program, &d.data_env)?;
     println!("--- after contification ({n} binding(s) became joins) ---\n{contified}\n");
 
     // Step 2: the full pipeline (contify + jfloat + simplify).

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate. Everything here runs fully offline: the
-# default workspace has zero external dependencies (criterion benches
-# live in their own workspace under crates/bench and are not touched).
+# workspace has zero external dependencies. Wall-clock measurement lives
+# in the servebench package (servebench/README.md), which this script
+# builds and self-tests so an API change cannot silently break it.
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick   skip the release build (debug test run only)
@@ -71,6 +72,10 @@ if [[ "$QUICK" -eq 0 ]]; then
   echo '==> FJ_VM_FUSE=0 cargo test -p fj-nofib --test vm_differential --offline -q'
   env FJ_VM_FUSE=0 cargo test -p fj-nofib --test vm_differential --offline -q
   run cargo build --workspace --release --offline
+  # The benchmark is a workspace of its own that compiles against the
+  # fj-core and fj-server APIs; its self-test checks every oracle and
+  # the stats reconciliation on a short run of each workload.
+  run cargo run --release --offline --manifest-path servebench/Cargo.toml -- --self-test
   # The headline acceptance check: the report must render, and the
   # join-points pipeline must win on the contification-sensitive rows
   # (asserted in detail by the fj-nofib test suite; this is the smoke
