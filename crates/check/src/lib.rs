@@ -463,6 +463,129 @@ mod tests {
         assert_eq!(type_of(&e, &d.data_env, &g).unwrap(), Type::Int);
     }
 
+    /// A case alternative's field is out of scope in its siblings.
+    #[test]
+    fn case_field_is_not_visible_in_a_sibling_alternative() {
+        let mut d = Dsl::new();
+        let y = d.binder("y", Type::Int);
+        let e = Expr::case(
+            Expr::Con(Ident::new("Just"), vec![Type::Int], vec![Expr::Lit(4)]),
+            vec![
+                Alt {
+                    con: AltCon::Con(Ident::new("Just")),
+                    binders: vec![y.clone()],
+                    rhs: Expr::var(&y.name),
+                },
+                Alt::simple(AltCon::Con(Ident::new("Nothing")), Expr::var(&y.name)),
+            ],
+        );
+        let err = bad(&e, &d.data_env);
+        assert_eq!(err.kind, LintErrorKind::UnboundVar(y.name), "{err}");
+        assert_eq!(err.path, vec!["case alt Nothing".to_string()]);
+    }
+
+    /// A lambda's parameter is out of scope once its body is done.
+    #[test]
+    fn lambda_parameter_is_not_visible_after_its_body() {
+        let mut d = Dsl::new();
+        let x = d.binder("x", Type::Int);
+        let e = Expr::app(Expr::lam(x.clone(), Expr::var(&x.name)), Expr::var(&x.name));
+        let err = bad(&e, &d.data_env);
+        assert_eq!(err.kind, LintErrorKind::UnboundVar(x.name), "{err}");
+        assert_eq!(err.path, vec!["argument".to_string()]);
+    }
+
+    /// A join point's parameters scope over its right-hand side only:
+    /// not over the join body, and not past the join.
+    #[test]
+    fn join_parameter_is_not_visible_in_the_join_body() {
+        let mut d = Dsl::new();
+        let j = d.name("j");
+        let x = d.binder("x", Type::Int);
+        let r = d.binder("r", Type::Int);
+        let def = JoinDef {
+            name: j.clone(),
+            ty_params: vec![],
+            params: vec![x.clone()],
+            body: Expr::var(&x.name),
+        };
+        let in_body = Expr::join1(def.clone(), Expr::var(&x.name));
+        let err = bad(&in_body, &d.data_env);
+        assert_eq!(err.kind, LintErrorKind::UnboundVar(x.name.clone()), "{err}");
+        assert_eq!(err.path, vec!["join body".to_string()]);
+        // let r = (join j x = x in jump j 1) in x
+        let after = Expr::let1(
+            r.clone(),
+            Expr::join1(def, Expr::jump(&j, vec![], vec![Expr::Lit(1)], Type::Int)),
+            Expr::var(&x.name),
+        );
+        let err = bad(&after, &d.data_env);
+        assert_eq!(err.kind, LintErrorKind::UnboundVar(x.name), "{err}");
+        assert_eq!(err.path, vec![format!("let {} body", r.name)]);
+    }
+
+    /// An inner binder that shadows a name (in the term, or in the
+    /// caller's Γ) hides the outer type only inside its own scope.
+    #[test]
+    fn shadowed_binder_restores_the_outer_type() {
+        let mut d = Dsl::new();
+        let x = d.binder("x", Type::Int);
+        let inner = Binder::new(x.name.clone(), Type::bool());
+        // (let x : Bool = True in 0) + x   — x is Int again on the right.
+        let shadow_then_use = Expr::prim2(
+            PrimOp::Add,
+            Expr::let1(inner.clone(), Expr::bool(true), Expr::Lit(0)),
+            Expr::var(&x.name),
+        );
+        let e = Expr::lam(x.clone(), shadow_then_use.clone());
+        assert_eq!(ok(&e, &d.data_env), Type::fun(Type::Int, Type::Int));
+        // The same against a base Γ that binds x : Int.
+        let mut g = Gamma::new();
+        g.bind_var(x.name.clone(), Type::Int);
+        assert_eq!(
+            lint_open(&shadow_then_use, &d.data_env, &g).unwrap(),
+            Type::Int
+        );
+        // Inside the shadow, x is a Bool, so using it as an Int fails.
+        let inside = Expr::let1(
+            inner,
+            Expr::bool(true),
+            Expr::prim2(PrimOp::Add, Expr::var(&x.name), Expr::Lit(1)),
+        );
+        let err = lint_open(&inside, &d.data_env, &g).unwrap_err();
+        assert!(matches!(err.kind, LintErrorKind::Mismatch { .. }), "{err}");
+        assert_eq!(
+            type_of(&Expr::var(&x.name), &d.data_env, &g).unwrap(),
+            Type::Int
+        );
+    }
+
+    /// Complexity guard: a `type_of` query costs the size of its term, not
+    /// that times the size of the caller's Γ (Γ used to be copied at
+    /// every binder).
+    #[test]
+    fn type_of_does_not_copy_a_large_base_gamma() {
+        let mut d = Dsl::new();
+        let mut g = Gamma::new();
+        for _ in 0..100_000 {
+            g.bind_var(d.name("g"), Type::Int);
+        }
+        let params: Vec<Binder> = (0..1_000).map(|_| d.binder("x", Type::Int)).collect();
+        let body = Expr::var(&params[0].name);
+        let term = Expr::lams(params, body);
+        let start = std::time::Instant::now();
+        let t = type_of(&term, &d.data_env, &g).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(
+            t,
+            Type::funs(std::iter::repeat_n(Type::Int, 1_000), Type::Int)
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "1,000 lambdas under a 100,000-binding Γ took {elapsed:?}"
+        );
+    }
+
     /// The error path breadcrumbs name the binders on the way to the
     /// fault, so a rollback reason (or a user diagnostic) points at the
     /// actual culprit binding, not just "somewhere in the term".

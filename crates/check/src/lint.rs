@@ -6,7 +6,7 @@
 //! destroying join points"); any pass that breaks the Δ discipline — e.g.
 //! by letting a jump escape into a lambda or an argument — fails here.
 
-use crate::env::{Delta, Gamma, JoinSig};
+use crate::env::{Gamma, JoinSig, Scope};
 use fj_ast::{AltCon, DataEnv, Expr, Ident, JoinBind, LetBind, Name, PrimOp, Type};
 use std::collections::HashSet;
 use std::fmt;
@@ -205,15 +205,15 @@ pub fn lint(e: &Expr, data_env: &DataEnv) -> Result<Type, LintError> {
 
 /// Type-check a term with free variables described by `gamma`.
 ///
+/// `gamma` is only read: the term's own binders live in a scoped overlay
+/// that is unwound on scope exit, so the cost is linear in the term, not
+/// in the term times `gamma`.
+///
 /// # Errors
 ///
 /// Returns the first [`LintError`] encountered.
 pub fn lint_open(e: &Expr, data_env: &DataEnv, gamma: &Gamma) -> Result<Type, LintError> {
-    let checker = Checker {
-        data_env,
-        strict: true,
-    };
-    checker.infer(e, gamma, &Delta::empty())
+    Checker::new(data_env, gamma, true).infer(e)
 }
 
 /// Compute the type of a term that is *assumed* well-typed, leniently:
@@ -222,33 +222,60 @@ pub fn lint_open(e: &Expr, data_env: &DataEnv, gamma: &Gamma) -> Result<Type, Li
 /// variables in annotations are accepted, and exhaustiveness is not
 /// enforced. The optimizer uses this to type subterms mid-rewrite.
 ///
+/// As with [`lint_open`], `gamma` is a read-only base: a query costs the
+/// size of `e`, however many bindings `gamma` holds.
+///
 /// # Errors
 ///
 /// Returns a [`LintError`] if the fragment is structurally ill-typed
 /// (e.g. applying a non-function).
 pub fn type_of(e: &Expr, data_env: &DataEnv, gamma: &Gamma) -> Result<Type, LintError> {
-    let checker = Checker {
-        data_env,
-        strict: false,
-    };
-    checker.infer(e, gamma, &Delta::empty())
+    Checker::new(data_env, gamma, false).infer(e)
 }
 
 struct Checker<'a> {
     data_env: &'a DataEnv,
     strict: bool,
+    /// Γ and Δ: the caller's Γ plus the term's own binders, scoped.
+    scope: Scope<'a>,
 }
 
-impl Checker<'_> {
+impl<'a> Checker<'a> {
+    fn new(data_env: &'a DataEnv, gamma: &'a Gamma, strict: bool) -> Self {
+        Checker {
+            data_env,
+            strict,
+            scope: Scope::new(gamma),
+        }
+    }
+
+    /// Run `f` in a nested scope: whatever it binds is unbound afterwards,
+    /// on the error path too.
+    fn scoped<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+        let mark = self.scope.mark();
+        let r = f(self);
+        self.scope.restore(mark);
+        r
+    }
+
+    /// Infer `e` where the paper resets Δ to ε (argument positions,
+    /// lambda bodies, constructor fields, `let` right-hand sides).
+    fn infer_reset(&mut self, e: &Expr) -> Result<Type, LintError> {
+        let floor = self.scope.reset_delta();
+        let r = self.infer(e);
+        self.scope.unreset_delta(floor);
+        r
+    }
+
     /// Check that a type is well-formed under Γ: free type variables in
     /// scope, datatype applications saturated.
-    fn wf_type(&self, t: &Type, gamma: &Gamma) -> Result<(), LintError> {
+    fn wf_type(&mut self, t: &Type) -> Result<(), LintError> {
         if !self.strict {
             return Ok(());
         }
         match t {
             Type::Var(a) => {
-                if gamma.has_tyvar(a) {
+                if self.scope.has_tyvar(a) {
                     Ok(())
                 } else {
                     Err(err(LintErrorKind::UnboundTyVar(a.clone())))
@@ -264,27 +291,27 @@ impl Checker<'_> {
                     }));
                 }
                 for a in args {
-                    self.wf_type(a, gamma)?;
+                    self.wf_type(a)?;
                 }
                 Ok(())
             }
             Type::Fun(a, b) => {
-                self.wf_type(a, gamma)?;
-                self.wf_type(b, gamma)
+                self.wf_type(a)?;
+                self.wf_type(b)
             }
-            Type::Forall(a, body) => {
-                let mut g = gamma.clone();
-                g.bind_tyvar(a.clone());
-                self.wf_type(body, &g)
-            }
+            Type::Forall(a, body) => self.scoped(|c| {
+                c.scope.bind_tyvar(a);
+                c.wf_type(body)
+            }),
             Type::Int => Ok(()),
         }
     }
 
     #[allow(clippy::too_many_lines)]
-    fn infer(&self, e: &Expr, gamma: &Gamma, delta: &Delta) -> Result<Type, LintError> {
+    fn infer(&mut self, e: &Expr) -> Result<Type, LintError> {
         match e {
-            Expr::Var(x) => gamma
+            Expr::Var(x) => self
+                .scope
                 .var(x)
                 .cloned()
                 .ok_or_else(|| err(LintErrorKind::UnboundVar(x.clone()))),
@@ -295,7 +322,7 @@ impl Checker<'_> {
                 }
                 for a in args {
                     // Δ reset: primop operands are strict argument positions.
-                    let t = at("primop operand", self.infer(a, gamma, &Delta::empty()))?;
+                    let t = at("primop operand", self.infer_reset(a))?;
                     if t != Type::Int {
                         return Err(err(LintErrorKind::Mismatch {
                             expected: Type::Int,
@@ -307,31 +334,27 @@ impl Checker<'_> {
                 Ok(op.result_type())
             }
             Expr::Lam(b, body) => {
-                self.wf_type(&b.ty, gamma)?;
-                let mut g = gamma.clone();
-                g.bind_var(b.name.clone(), b.ty.clone());
+                self.wf_type(&b.ty)?;
                 // Δ reset: a lambda may be called anywhere, so its body
                 // cannot jump to enclosing join points.
-                let body_ty = at(
-                    format!("lambda {} body", b.name),
-                    self.infer(body, &g, &Delta::empty()),
-                )?;
+                let body_ty = self.scoped(|c| {
+                    c.scope.bind_var(&b.name, &b.ty);
+                    at(format!("lambda {} body", b.name), c.infer_reset(body))
+                })?;
                 Ok(Type::fun(b.ty.clone(), body_ty))
             }
             Expr::TyLam(a, body) => {
-                let mut g = gamma.clone();
-                g.bind_tyvar(a.clone());
-                let body_ty = at(
-                    format!("type-lambda {a} body"),
-                    self.infer(body, &g, &Delta::empty()),
-                )?;
+                let body_ty = self.scoped(|c| {
+                    c.scope.bind_tyvar(a);
+                    at(format!("type-lambda {a} body"), c.infer_reset(body))
+                })?;
                 Ok(Type::forall(a.clone(), body_ty))
             }
             Expr::App(f, x) => {
                 // Δ propagates into the *function* part (evaluation context)
                 // but is reset in the argument (rule APP).
-                let f_ty = at("function", self.infer(f, gamma, delta))?;
-                let x_ty = at("argument", self.infer(x, gamma, &Delta::empty()))?;
+                let f_ty = at("function", self.infer(f))?;
+                let x_ty = at("argument", self.infer_reset(x))?;
                 match f_ty {
                     Type::Fun(a, b) => {
                         if a.alpha_eq(&x_ty) {
@@ -348,8 +371,8 @@ impl Checker<'_> {
                 }
             }
             Expr::TyApp(f, phi) => {
-                self.wf_type(phi, gamma)?;
-                let f_ty = at("type application head", self.infer(f, gamma, delta))?;
+                self.wf_type(phi)?;
+                let f_ty = at("type application head", self.infer(f))?;
                 match f_ty {
                     Type::Forall(a, body) => Ok(body.subst1(&a, phi)),
                     other => Err(err(LintErrorKind::NotPolymorphic(other))),
@@ -357,7 +380,7 @@ impl Checker<'_> {
             }
             Expr::Con(c, tys, args) => {
                 for t in tys {
-                    self.wf_type(t, gamma)?;
+                    self.wf_type(t)?;
                 }
                 let (fields, result) = self.data_env.instantiate(c, tys)?;
                 if fields.len() != args.len() {
@@ -369,7 +392,7 @@ impl Checker<'_> {
                 }
                 for (field_ty, arg) in fields.iter().zip(args) {
                     // Δ reset: constructor arguments are stored, not run.
-                    let t = at("constructor field", self.infer(arg, gamma, &Delta::empty()))?;
+                    let t = at("constructor field", self.infer_reset(arg))?;
                     if !t.alpha_eq(field_ty) {
                         return Err(err(LintErrorKind::Mismatch {
                             expected: field_ty.clone(),
@@ -383,18 +406,15 @@ impl Checker<'_> {
             Expr::Case(scrut, alts) => {
                 // Δ propagates into the scrutinee (evaluation context) AND
                 // the branches (tail context).
-                let scrut_ty = at("case scrutinee", self.infer(scrut, gamma, delta))?;
-                self.check_alts(&scrut_ty, alts, gamma, delta)
+                let scrut_ty = at("case scrutinee", self.infer(scrut))?;
+                self.check_alts(&scrut_ty, alts)
             }
             Expr::Let(bind, body) => {
                 match bind {
                     LetBind::NonRec(b, rhs) => {
-                        self.wf_type(&b.ty, gamma)?;
+                        self.wf_type(&b.ty)?;
                         // Δ reset in the RHS of a value binding.
-                        let rhs_ty = at(
-                            format!("let {} rhs", b.name),
-                            self.infer(rhs, gamma, &Delta::empty()),
-                        )?;
+                        let rhs_ty = at(format!("let {} rhs", b.name), self.infer_reset(rhs))?;
                         if !rhs_ty.alpha_eq(&b.ty) {
                             return Err(err(LintErrorKind::Mismatch {
                                 expected: b.ty.clone(),
@@ -402,21 +422,18 @@ impl Checker<'_> {
                                 context: "let binding",
                             }));
                         }
-                        let mut g = gamma.clone();
-                        g.bind_var(b.name.clone(), b.ty.clone());
-                        at(format!("let {} body", b.name), self.infer(body, &g, delta))
+                        self.scoped(|c| {
+                            c.scope.bind_var(&b.name, &b.ty);
+                            at(format!("let {} body", b.name), c.infer(body))
+                        })
                     }
-                    LetBind::Rec(binds) => {
-                        let mut g = gamma.clone();
+                    LetBind::Rec(binds) => self.scoped(|c| {
                         for (b, _) in binds {
-                            self.wf_type(&b.ty, gamma)?;
-                            g.bind_var(b.name.clone(), b.ty.clone());
+                            c.wf_type(&b.ty)?;
+                            c.scope.bind_var(&b.name, &b.ty);
                         }
                         for (b, rhs) in binds {
-                            let rhs_ty = at(
-                                format!("letrec {} rhs", b.name),
-                                self.infer(rhs, &g, &Delta::empty()),
-                            )?;
+                            let rhs_ty = at(format!("letrec {} rhs", b.name), c.infer_reset(rhs))?;
                             if !rhs_ty.alpha_eq(&b.ty) {
                                 return Err(err(LintErrorKind::Mismatch {
                                     expected: b.ty.clone(),
@@ -425,14 +442,14 @@ impl Checker<'_> {
                                 }));
                             }
                         }
-                        at("letrec body", self.infer(body, &g, delta))
-                    }
+                        at("letrec body", c.infer(body))
+                    }),
                 }
             }
-            Expr::Join(jb, body) => self.check_join(jb, body, gamma, delta),
+            Expr::Join(jb, body) => self.check_join(jb, body),
             Expr::Jump(j, tys, args, res_ty) => {
-                self.wf_type(res_ty, gamma)?;
-                let Some(sig) = delta.get(j).cloned() else {
+                self.wf_type(res_ty)?;
+                let Some(sig) = self.scope.label(j).cloned() else {
                     if self.strict {
                         return Err(err(LintErrorKind::UnboundLabel(j.clone())));
                     }
@@ -440,7 +457,7 @@ impl Checker<'_> {
                     // arguments for internal consistency, then trust the
                     // annotation.
                     for arg in args {
-                        at("jump argument", self.infer(arg, gamma, &Delta::empty()))?;
+                        at("jump argument", self.infer_reset(arg))?;
                     }
                     return Ok(res_ty.clone());
                 };
@@ -459,7 +476,7 @@ impl Checker<'_> {
                     }));
                 }
                 for t in tys {
-                    self.wf_type(t, gamma)?;
+                    self.wf_type(t)?;
                 }
                 let inst: fj_ast::FxHashMap<Name, Type> = sig
                     .ty_params
@@ -470,7 +487,7 @@ impl Checker<'_> {
                 for (pt, arg) in sig.param_tys.iter().zip(args) {
                     let expected = pt.subst(&inst);
                     // Δ reset: jump arguments are argument positions.
-                    let t = at("jump argument", self.infer(arg, gamma, &Delta::empty()))?;
+                    let t = at("jump argument", self.infer_reset(arg))?;
                     if !t.alpha_eq(&expected) {
                         return Err(err(LintErrorKind::Mismatch {
                             expected,
@@ -486,58 +503,49 @@ impl Checker<'_> {
         }
     }
 
-    fn check_join(
-        &self,
-        jb: &JoinBind,
-        body: &Expr,
-        gamma: &Gamma,
-        delta: &Delta,
-    ) -> Result<Type, LintError> {
-        let mut delta_body = delta.clone();
-        for d in jb.defs() {
-            delta_body.bind(
-                d.name.clone(),
-                JoinSig {
-                    ty_params: d.ty_params.clone(),
-                    param_tys: d.params.iter().map(|p| p.ty.clone()).collect(),
-                },
-            );
-        }
-        // Non-recursive join RHSs see the *outer* Δ (they are tail contexts
-        // of enclosing joins); recursive ones also see the group (RJBIND).
-        let delta_rhs = if jb.is_rec() { &delta_body } else { delta };
-        let body_ty = at("join body", self.infer(body, gamma, &delta_body))?;
-        for d in jb.defs() {
-            let mut g = gamma.clone();
-            for a in &d.ty_params {
-                g.bind_tyvar(a.clone());
+    fn check_join(&mut self, jb: &JoinBind, body: &Expr) -> Result<Type, LintError> {
+        self.scoped(|c| {
+            let labels = c.scope.mark();
+            for d in jb.defs() {
+                c.scope.bind_label(
+                    &d.name,
+                    JoinSig {
+                        ty_params: d.ty_params.clone(),
+                        param_tys: d.params.iter().map(|p| p.ty.clone()).collect(),
+                    },
+                );
             }
-            for p in &d.params {
-                self.wf_type(&p.ty, &g)?;
-                g.bind_var(p.name.clone(), p.ty.clone());
+            let body_ty = at("join body", c.infer(body))?;
+            // Non-recursive join RHSs see the *outer* Δ (they are tail
+            // contexts of enclosing joins); recursive ones also see the
+            // group (RJBIND).
+            if !jb.is_rec() {
+                c.scope.restore(labels);
             }
-            let rhs_ty = at(
-                format!("join {} rhs", d.name),
-                self.infer(&d.body, &g, delta_rhs),
-            )?;
-            if !rhs_ty.alpha_eq(&body_ty) {
-                return Err(err(LintErrorKind::JoinResultMismatch {
-                    label: d.name.clone(),
-                    body_ty,
-                    rhs_ty,
-                }));
+            for d in jb.defs() {
+                let rhs_ty = c.scoped(|c| {
+                    for a in &d.ty_params {
+                        c.scope.bind_tyvar(a);
+                    }
+                    for p in &d.params {
+                        c.wf_type(&p.ty)?;
+                        c.scope.bind_var(&p.name, &p.ty);
+                    }
+                    at(format!("join {} rhs", d.name), c.infer(&d.body))
+                })?;
+                if !rhs_ty.alpha_eq(&body_ty) {
+                    return Err(err(LintErrorKind::JoinResultMismatch {
+                        label: d.name.clone(),
+                        body_ty,
+                        rhs_ty,
+                    }));
+                }
             }
-        }
-        Ok(body_ty)
+            Ok(body_ty)
+        })
     }
 
-    fn check_alts(
-        &self,
-        scrut_ty: &Type,
-        alts: &[fj_ast::Alt],
-        gamma: &Gamma,
-        delta: &Delta,
-    ) -> Result<Type, LintError> {
+    fn check_alts(&mut self, scrut_ty: &Type, alts: &[fj_ast::Alt]) -> Result<Type, LintError> {
         if alts.is_empty() {
             return Err(err(LintErrorKind::EmptyCase));
         }
@@ -547,7 +555,9 @@ impl Checker<'_> {
         let mut has_default = false;
 
         for alt in alts {
-            let mut g = gamma.clone();
+            // The field binders are unbound again after the alternative;
+            // an early error return skips that, but ends the whole check.
+            let mark = self.scope.mark();
             match &alt.con {
                 AltCon::Default => {
                     if has_default {
@@ -611,7 +621,7 @@ impl Checker<'_> {
                                 context: "case field binder",
                             }));
                         }
-                        g.bind_var(b.name.clone(), b.ty.clone());
+                        self.scope.bind_var(&b.name, &b.ty);
                     }
                 }
             }
@@ -621,7 +631,9 @@ impl Checker<'_> {
                 AltCon::Lit(n) => format!("case alt {n}"),
                 AltCon::Default => "case alt _".to_string(),
             };
-            let rhs_ty = at(alt_label, self.infer(&alt.rhs, &g, delta))?;
+            let rhs_ty = at(alt_label, self.infer(&alt.rhs));
+            self.scope.restore(mark);
+            let rhs_ty = rhs_ty?;
             match &result_ty {
                 None => result_ty = Some(rhs_ty),
                 Some(t) => {

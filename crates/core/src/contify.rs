@@ -22,37 +22,42 @@
 
 use crate::OptError;
 use fj_ast::{
-    mentions_any, occurs_free, Alt, Binder, DataEnv, Expr, JoinBind, JoinDef, LetBind, Name,
-    SpineArg, Type,
+    mentions_any, occurs_free, Alt, Binder, DataEnv, Expr, FxHashMap, JoinBind, JoinDef, LetBind,
+    Name, SpineArg, Type,
 };
 use fj_check::{type_of, Gamma};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Run contification over a whole term, bottom-up, converting every
 /// eligible `let` into a `join`. Also returns how many bindings were
 /// converted.
 ///
+/// Subtrees in which nothing converts come back as the input's own
+/// `Arc`s, so a pass that converts nothing costs no allocation.
+///
 /// # Errors
 ///
-/// Returns [`OptError::Type`] if type reconstruction fails (ill-typed
-/// input).
+/// None: a candidate whose `let` body cannot be typed stays a `let`. The
+/// `Result` keeps the signature uniform with the other passes.
 pub fn contify(e: &Expr, data_env: &DataEnv) -> Result<(Expr, usize), OptError> {
     let mut c = Contifier {
         data_env,
         gamma: Gamma::new(),
         converted: 0,
     };
-    let out = c.go(e)?;
+    let out = c.go(e).unwrap_or_else(|| e.clone());
     Ok((out, c.converted))
 }
 
 /// The η-shape of a candidate: `Λa⃗. λ(x:σ)⃗. u`.
-struct FunShape {
+struct FunShape<'e> {
     ty_params: Vec<Name>,
     params: Vec<Binder>,
-    body: Expr,
+    body: &'e Expr,
 }
 
-fn decompose_fun(rhs: &Expr) -> FunShape {
+fn decompose_fun(rhs: &Expr) -> FunShape<'_> {
     let mut ty_params = Vec::new();
     let mut cur = rhs;
     while let Expr::TyLam(a, b) = cur {
@@ -67,8 +72,37 @@ fn decompose_fun(rhs: &Expr) -> FunShape {
     FunShape {
         ty_params,
         params,
-        body: cur.clone(),
+        body: cur,
     }
+}
+
+/// The type of a candidate's body `u`, read off its binder's type
+/// `∀a⃗. σ⃗ → ρ`: strip the ∀s and arrows the shape accounts for, and
+/// rename the ∀-bound variables to the shape's own type parameters (the
+/// names `u` is typed under). `None` if the binder's type has fewer.
+fn result_ty(binder_ty: &Type, shape: &FunShape) -> Option<Type> {
+    let mut rename = FxHashMap::default();
+    let mut t = binder_ty;
+    for a in &shape.ty_params {
+        let Type::Forall(b, body) = t else {
+            return None;
+        };
+        if b != a {
+            rename.insert(b.clone(), Type::Var(a.clone()));
+        }
+        t = body;
+    }
+    for _ in &shape.params {
+        let Type::Fun(_, res) = t else {
+            return None;
+        };
+        t = res;
+    }
+    Some(t.subst(&rename))
+}
+
+fn keep(old: &Arc<Expr>, new: Option<Arc<Expr>>) -> Arc<Expr> {
+    new.unwrap_or_else(|| Arc::clone(old))
 }
 
 struct Contifier<'a> {
@@ -85,62 +119,87 @@ impl Contifier<'_> {
         self.gamma.bind_var(b.name.clone(), b.ty.clone());
     }
 
-    fn ty_of(&self, e: &Expr) -> Result<Type, OptError> {
-        type_of(e, self.data_env, &self.gamma).map_err(OptError::Type)
+    fn go_arc(&mut self, e: &Arc<Expr>) -> Option<Arc<Expr>> {
+        self.go(e).map(Expr::share)
     }
 
-    fn go(&mut self, e: &Expr) -> Result<Expr, OptError> {
+    /// Contify each of `es`: `None` if none of them changed, else all of
+    /// them, changed or kept.
+    fn go_all<'e>(&mut self, es: impl IntoIterator<Item = &'e Expr>) -> Option<Vec<Expr>> {
+        let pairs: Vec<(&Expr, Option<Expr>)> = es.into_iter().map(|e| (e, self.go(e))).collect();
+        if pairs.iter().all(|(_, new)| new.is_none()) {
+            return None;
+        }
+        Some(
+            pairs
+                .into_iter()
+                .map(|(e, new)| new.unwrap_or_else(|| e.clone()))
+                .collect(),
+        )
+    }
+
+    /// Contify `e`, returning `None` when nothing under it converts (the
+    /// caller then keeps `e` itself).
+    fn go(&mut self, e: &Expr) -> Option<Expr> {
         match e {
-            Expr::Var(_) | Expr::Lit(_) => Ok(e.clone()),
-            Expr::Prim(op, args) => Ok(Expr::Prim(
-                *op,
-                args.iter().map(|a| self.go(a)).collect::<Result<_, _>>()?,
-            )),
-            Expr::Con(c, tys, args) => Ok(Expr::Con(
-                c.clone(),
-                tys.clone(),
-                args.iter().map(|a| self.go(a)).collect::<Result<_, _>>()?,
-            )),
+            Expr::Var(_) | Expr::Lit(_) => None,
+            Expr::Prim(op, args) => self.go_all(args).map(|args| Expr::Prim(*op, args)),
+            Expr::Con(c, tys, args) => self
+                .go_all(args)
+                .map(|args| Expr::Con(c.clone(), tys.clone(), args)),
             Expr::Lam(b, body) => {
                 self.record(b);
-                Ok(Expr::lam(b.clone(), self.go(body)?))
+                self.go_arc(body).map(|body| Expr::Lam(b.clone(), body))
             }
-            Expr::TyLam(a, body) => Ok(Expr::ty_lam(a.clone(), self.go(body)?)),
-            Expr::App(f, a) => Ok(Expr::app(self.go(f)?, self.go(a)?)),
-            Expr::TyApp(f, t) => Ok(Expr::ty_app(self.go(f)?, t.clone())),
+            Expr::TyLam(a, body) => self.go_arc(body).map(|body| Expr::TyLam(a.clone(), body)),
+            Expr::App(f, a) => match (self.go_arc(f), self.go_arc(a)) {
+                (None, None) => None,
+                (f2, a2) => Some(Expr::App(keep(f, f2), keep(a, a2))),
+            },
+            Expr::TyApp(f, t) => self.go_arc(f).map(|f| Expr::TyApp(f, t.clone())),
             Expr::Case(s, alts) => {
-                let s2 = self.go(s)?;
-                let alts2 = alts
-                    .iter()
-                    .map(|alt| {
-                        for b in &alt.binders {
-                            self.record(b);
-                        }
-                        Ok(Alt {
+                let s2 = self.go_arc(s);
+                for b in alts.iter().flat_map(|alt| &alt.binders) {
+                    self.record(b);
+                }
+                let rhss = self.go_all(alts.iter().map(|alt| &alt.rhs));
+                if s2.is_none() && rhss.is_none() {
+                    return None;
+                }
+                let alts2 = match rhss {
+                    Some(rhss) => alts
+                        .iter()
+                        .zip(rhss)
+                        .map(|(alt, rhs)| Alt {
                             con: alt.con.clone(),
                             binders: alt.binders.clone(),
-                            rhs: self.go(&alt.rhs)?,
+                            rhs,
                         })
-                    })
-                    .collect::<Result<_, OptError>>()?;
-                Ok(Expr::case(s2, alts2))
+                        .collect(),
+                    None => alts.clone(),
+                };
+                Some(Expr::Case(keep(s, s2), alts2))
             }
             Expr::Join(jb, body) => {
-                let mut jb2 = jb.clone();
-                for d in jb2.defs_mut() {
-                    for p in &d.params {
-                        self.record(p);
-                    }
-                    d.body = self.go(&d.body)?;
+                for p in jb.defs().iter().flat_map(|d| &d.params) {
+                    self.record(p);
                 }
-                Ok(Expr::Join(jb2, Expr::share(self.go(body)?)))
+                let bodies = self.go_all(jb.defs().iter().map(|d| &d.body));
+                let body2 = self.go_arc(body);
+                if bodies.is_none() && body2.is_none() {
+                    return None;
+                }
+                let mut jb2 = jb.clone();
+                if let Some(bodies) = bodies {
+                    for (d, new) in jb2.defs_mut().iter_mut().zip(bodies) {
+                        d.body = new;
+                    }
+                }
+                Some(Expr::Join(jb2, keep(body, body2)))
             }
-            Expr::Jump(j, tys, args, res) => Ok(Expr::Jump(
-                j.clone(),
-                tys.clone(),
-                args.iter().map(|a| self.go(a)).collect::<Result<_, _>>()?,
-                res.clone(),
-            )),
+            Expr::Jump(j, tys, args, res) => self
+                .go_all(args)
+                .map(|args| Expr::Jump(j.clone(), tys.clone(), args, res.clone())),
             Expr::Let(bind, body) => {
                 for b in bind.binders() {
                     self.record(b);
@@ -148,101 +207,86 @@ impl Contifier<'_> {
                 // Children first: inner contifications can expose outer ones.
                 let bind2 = match bind {
                     LetBind::NonRec(b, rhs) => {
-                        LetBind::NonRec(b.clone(), Expr::share(self.go(rhs)?))
+                        self.go_arc(rhs).map(|rhs| LetBind::NonRec(b.clone(), rhs))
                     }
-                    LetBind::Rec(binds) => LetBind::Rec(
-                        binds
-                            .iter()
-                            .map(|(b, rhs)| Ok((b.clone(), self.go(rhs)?)))
-                            .collect::<Result<_, OptError>>()?,
-                    ),
+                    LetBind::Rec(binds) => {
+                        self.go_all(binds.iter().map(|(_, rhs)| rhs)).map(|rhss| {
+                            LetBind::Rec(
+                                binds
+                                    .iter()
+                                    .zip(rhss)
+                                    .map(|((b, _), rhs)| (b.clone(), rhs))
+                                    .collect(),
+                            )
+                        })
+                    }
                 };
-                let body2 = self.go(body)?;
-                self.try_contify(&bind2, &body2)
+                let body2 = self.go_arc(body);
+                let unchanged = bind2.is_none() && body2.is_none();
+                let bind2 = bind2.map_or(Cow::Borrowed(bind), Cow::Owned);
+                let body2 = keep(body, body2);
+                match self.try_contify(&bind2, &body2) {
+                    Some(join) => Some(join),
+                    None if unchanged => None,
+                    None => Some(Expr::Let(bind2.into_owned(), body2)),
+                }
             }
         }
     }
 
-    fn try_contify(&mut self, bind: &LetBind, body: &Expr) -> Result<Expr, OptError> {
+    /// Turn `let bind in body` into a join binding if Fig. 5 allows it.
+    fn try_contify(&mut self, bind: &LetBind, body: &Expr) -> Option<Expr> {
         match bind {
             LetBind::NonRec(b, rhs) => {
                 let shape = decompose_fun(rhs);
                 // Only functions are candidates (a 0-ary "join" would
-                // trade call-by-need sharing for re-evaluation).
-                if shape.params.is_empty() {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
+                // trade call-by-need sharing for re-evaluation); f must
+                // not occur in its own RHS (non-recursive).
+                if shape.params.is_empty() || occurs_free(&b.name, rhs) {
+                    return None;
                 }
-                for p in &shape.params {
-                    self.record(p);
-                }
-                // f must not occur in its own RHS (non-recursive).
-                if occurs_free(&b.name, rhs) {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                }
-                let Some(res_ty) = self.contifiable_result_ty(
-                    &[(b.name.clone(), shape.ty_params.len(), shape.params.len())],
-                    std::slice::from_ref(&shape.body),
-                    body,
-                )?
-                else {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                };
-                let targets = Targets::new(
-                    vec![(b.name.clone(), shape.ty_params.len(), shape.params.len())],
-                    res_ty,
-                );
-                let Some(new_body) = tailify(body, &targets) else {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                };
+                let arity = (b.name.clone(), shape.ty_params.len(), shape.params.len());
+                let res_ty = self.contifiable_result_ty([(b, &shape)], body)?;
+                let targets = Targets::new(vec![arity], res_ty);
+                let new_body = tailify(body, &targets)?;
                 self.converted += 1;
                 let def = JoinDef {
                     name: b.name.clone(),
                     ty_params: shape.ty_params,
                     params: shape.params,
-                    body: shape.body,
+                    body: shape.body.clone(),
                 };
-                Ok(Expr::join1(def, new_body))
+                Some(Expr::join1(def, new_body))
             }
             LetBind::Rec(binds) => {
-                let shapes: Vec<(Name, FunShape)> = binds
+                let shapes: Vec<(&Binder, FunShape)> = binds
                     .iter()
-                    .map(|(b, rhs)| (b.name.clone(), decompose_fun(rhs)))
+                    .map(|(b, rhs)| (b, decompose_fun(rhs)))
                     .collect();
                 if shapes.iter().any(|(_, s)| s.params.is_empty()) {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                }
-                for (_, s) in &shapes {
-                    for p in &s.params {
-                        self.record(p);
-                    }
+                    return None;
                 }
                 let arities: Vec<(Name, usize, usize)> = shapes
                     .iter()
-                    .map(|(n, s)| (n.clone(), s.ty_params.len(), s.params.len()))
+                    .map(|(b, s)| (b.name.clone(), s.ty_params.len(), s.params.len()))
                     .collect();
-                let rhs_bodies: Vec<Expr> = shapes.iter().map(|(_, s)| s.body.clone()).collect();
-                let Some(res_ty) = self.contifiable_result_ty(&arities, &rhs_bodies, body)? else {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                };
+                let candidates = shapes.iter().map(|(b, s)| (*b, s));
+                let res_ty = self.contifiable_result_ty(candidates, body)?;
                 let targets = Targets::new(arities, res_ty);
                 // Every RHS body and the let body must tailify.
                 let mut new_defs = Vec::with_capacity(shapes.len());
-                for (name, shape) in shapes {
-                    let Some(new_rhs_body) = tailify(&shape.body, &targets) else {
-                        return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                    };
+                for (b, shape) in shapes {
+                    let new_rhs_body = tailify(shape.body, &targets)?;
                     new_defs.push(JoinDef {
-                        name,
+                        name: b.name.clone(),
                         ty_params: shape.ty_params,
                         params: shape.params,
                         body: new_rhs_body,
                     });
                 }
-                let Some(new_body) = tailify(body, &targets) else {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                };
+                let new_body = tailify(body, &targets)?;
                 self.converted += 1;
-                Ok(Expr::Join(JoinBind::Rec(new_defs), Expr::share(new_body)))
+                Some(Expr::Join(JoinBind::Rec(new_defs), Expr::share(new_body)))
             }
         }
     }
@@ -252,26 +296,20 @@ impl Contifier<'_> {
     /// type" relative to the context and cannot be a join point). Returns
     /// the shared result type, or `None` if the condition fails.
     ///
-    /// Candidates with polymorphic parameters are typed with their own
-    /// type variables in scope; `type_of` is lenient about those.
-    fn contifiable_result_ty(
-        &mut self,
-        arities: &[(Name, usize, usize)],
-        rhs_bodies: &[Expr],
+    /// Candidates' body types come from their binders, so only the `let`
+    /// body is typed, once per `let`.
+    fn contifiable_result_ty<'s>(
+        &self,
+        candidates: impl IntoIterator<Item = (&'s Binder, &'s FunShape<'s>)>,
         body: &Expr,
-    ) -> Result<Option<Type>, OptError> {
-        let _ = arities;
-        let body_ty = match self.ty_of(body) {
-            Ok(t) => t,
-            Err(_) => return Ok(None),
-        };
-        for rhs_body in rhs_bodies {
-            match self.ty_of(rhs_body) {
-                Ok(t) if t.alpha_eq(&body_ty) => {}
-                _ => return Ok(None),
+    ) -> Option<Type> {
+        let body_ty = type_of(body, self.data_env, &self.gamma).ok()?;
+        for (b, shape) in candidates {
+            if !result_ty(&b.ty, shape)?.alpha_eq(&body_ty) {
+                return None;
             }
         }
-        Ok(Some(body_ty))
+        Some(body_ty)
     }
 }
 

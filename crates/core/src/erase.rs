@@ -19,7 +19,7 @@ use crate::stats::RewriteStats;
 use crate::OptError;
 use fj_ast::{Alt, Binder, DataEnv, Expr, Ident, JoinDef, LetBind, Name, NameSupply, Type};
 use fj_check::{type_of, Gamma};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Erase all join points and jumps, producing a plain System F term.
 ///
@@ -40,7 +40,7 @@ pub fn erase(e: &Expr, data_env: &DataEnv, supply: &mut NameSupply) -> Result<Ex
     let mut er = Eraser {
         data_env,
         supply,
-        types: HashMap::new(),
+        gamma: Gamma::new(),
         nullary: HashSet::new(),
     };
     let erased = er.go(&norm)?;
@@ -133,26 +133,20 @@ fn unit_val() -> Expr {
 struct Eraser<'a> {
     data_env: &'a DataEnv,
     supply: &'a mut NameSupply,
-    types: HashMap<Name, Type>,
+    /// Γ for every binder seen so far, grown in place (binders are
+    /// globally unique) rather than rebuilt per `ty_of` query.
+    gamma: Gamma,
     /// Labels lowered with a dummy unit parameter.
     nullary: HashSet<Name>,
 }
 
 impl Eraser<'_> {
     fn record(&mut self, b: &Binder) {
-        self.types.insert(b.name.clone(), b.ty.clone());
-    }
-
-    fn gamma(&self) -> Gamma {
-        let mut g = Gamma::new();
-        for (n, t) in &self.types {
-            g.bind_var(n.clone(), t.clone());
-        }
-        g
+        self.gamma.bind_var(b.name.clone(), b.ty.clone());
     }
 
     fn ty_of(&self, e: &Expr) -> Result<Type, OptError> {
-        type_of(e, self.data_env, &self.gamma()).map_err(OptError::Type)
+        type_of(e, self.data_env, &self.gamma).map_err(OptError::Type)
     }
 
     #[allow(clippy::too_many_lines)]
@@ -223,14 +217,14 @@ impl Eraser<'_> {
                 // (possibly mutually recursive) right-hand sides.
                 for d in jb.defs() {
                     let fn_ty = self.fn_type(d, &rho);
-                    self.types.insert(d.name.clone(), fn_ty);
+                    self.gamma.bind_var(d.name.clone(), fn_ty);
                     if d.params.is_empty() {
                         self.nullary.insert(d.name.clone());
                     }
                 }
                 let mut let_binds = Vec::with_capacity(jb.defs().len());
                 for d in jb.defs() {
-                    let fn_ty = self.types[&d.name].clone();
+                    let fn_ty = self.gamma.var(&d.name).expect("declared above").clone();
                     let rhs = self.lower_def(d)?;
                     let_binds.push((Binder::new(d.name.clone(), fn_ty), rhs));
                 }

@@ -138,17 +138,28 @@ impl fmt::Display for Value {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // Everything that needs escaping is ASCII, so each unescaped run
+    // between two escapes ends on a char boundary and goes out whole.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(escape)?;
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -159,6 +170,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 /// A human-readable message with the byte offset of the problem.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -172,6 +184,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -287,12 +300,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one go; both are ASCII, so the run ends on a char
+                    // boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += len;
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -392,6 +409,56 @@ mod tests {
         // Escaped input parses too, including a surrogate pair.
         let v = parse(r#""aA\n😀""#).unwrap();
         assert_eq!(v.as_str(), Some("aA\n\u{1F600}"));
+    }
+
+    #[test]
+    fn encoder_writes_exact_bytes() {
+        // Unescaped runs (ASCII and multi-byte) go out verbatim; each
+        // escape sits exactly where its character was.
+        let v = Value::str("é\"ü\\\n\u{1}x\u{1F600}\t\r\u{1f}end");
+        assert_eq!(
+            v.to_string(),
+            "\"é\\\"ü\\\\\\n\\u0001x\u{1F600}\\t\\r\\u001fend\""
+        );
+        assert_eq!(Value::str("").to_string(), "\"\"");
+        assert_eq!(Value::str("\\").to_string(), "\"\\\\\"");
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_round_trip() {
+        // Multi-byte UTF-8 runs directly before and after every kind of
+        // escape, at both ends of the string, and around surrogate pairs.
+        let original = "日本\"語\\ü\nñ\u{1}€\u{1F600}𝄞\té";
+        let wire = Value::str(original).to_string();
+        assert_eq!(parse(&wire).unwrap().as_str(), Some(original));
+        let escaped = r#""日\u00e9本\ud83d\ude00語\"\\\/\b\f€\ud834\udd1e""#;
+        assert_eq!(
+            parse(escaped).unwrap().as_str(),
+            Some("日é本\u{1F600}語\"\\/\u{8}\u{c}€\u{1D11E}")
+        );
+        // A key, too, and a string that is nothing but one run.
+        let v = parse(r#"{"ключ": "значение"}"#).unwrap();
+        assert_eq!(v.get("ключ").and_then(Value::as_str), Some("значение"));
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    /// Complexity guard: decoding a string must be linear in its length
+    /// (it once re-validated the whole rest of the input per character).
+    #[test]
+    fn large_string_field_decodes_in_linear_time() {
+        // 8-byte chunks (a two-byte char, an escaped quote) decoding to 7.
+        let payload = "éabc\\\"d".repeat(1 << 20);
+        assert_eq!(payload.len(), 8 << 20);
+        let wire = format!(r#"{{"op": "compile", "program": "{payload}"}}"#);
+        let start = std::time::Instant::now();
+        let v = parse(&wire).unwrap();
+        let elapsed = start.elapsed();
+        let program = v.get("program").and_then(Value::as_str).unwrap();
+        assert_eq!(program.len(), 7 << 20);
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "8 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]

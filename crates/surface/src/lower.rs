@@ -33,12 +33,7 @@ pub struct Lowered {
 /// Returns [`SurfaceError::Lower`] for unbound names, unknown or
 /// unsaturated constructors, and malformed declarations.
 pub fn lower_program(p: &SProgram) -> Result<Lowered, SurfaceError> {
-    let mut lw = Lowerer {
-        data_env: DataEnv::prelude(),
-        supply: NameSupply::new(),
-        types: HashMap::new(),
-        pending: HashMap::new(),
-    };
+    let mut lw = Lowerer::new();
     for d in &p.datas {
         lw.pending.insert(d.name.clone(), d.params.len());
     }
@@ -47,15 +42,14 @@ pub fn lower_program(p: &SProgram) -> Result<Lowered, SurfaceError> {
     }
     lw.pending.clear();
 
-    let mut scope = Scope::default();
     let mut defs: Vec<(Binder, Expr)> = Vec::new();
     let mut main: Option<Name> = None;
     for d in &p.defs {
-        let ty = lw.lower_ty(&d.ty, &scope, d.pos)?;
-        let body = lw.lower_expr(&d.body, &scope)?;
+        let ty = lw.lower_ty(&d.ty, d.pos)?;
+        let body = lw.lower_expr(&d.body)?;
         let name = lw.supply.fresh(&d.name);
-        lw.types.insert(name.clone(), ty.clone());
-        scope.vars.insert(d.name.clone(), name.clone());
+        lw.gamma.bind_var(name.clone(), ty.clone());
+        lw.scope.bind(Ns::Var, &d.name, &name);
         if d.name == "main" {
             main = Some(name.clone());
         }
@@ -85,13 +79,8 @@ pub fn lower_program(p: &SProgram) -> Result<Lowered, SurfaceError> {
 ///
 /// As [`lower_program`].
 pub fn lower_expr(e: &SExpr) -> Result<Lowered, SurfaceError> {
-    let mut lw = Lowerer {
-        data_env: DataEnv::prelude(),
-        supply: NameSupply::new(),
-        types: HashMap::new(),
-        pending: HashMap::new(),
-    };
-    let expr = lw.lower_expr(e, &Scope::default())?;
+    let mut lw = Lowerer::new();
+    let expr = lw.lower_expr(e)?;
     Ok(Lowered {
         data_env: lw.data_env,
         expr,
@@ -109,12 +98,7 @@ pub fn lower_expr(e: &SExpr) -> Result<Lowered, SurfaceError> {
 ///
 /// As [`lower_program`].
 pub fn lower_entry(datas: &[SData], e: &SExpr) -> Result<Lowered, SurfaceError> {
-    let mut lw = Lowerer {
-        data_env: DataEnv::prelude(),
-        supply: NameSupply::new(),
-        types: HashMap::new(),
-        pending: HashMap::new(),
-    };
+    let mut lw = Lowerer::new();
     for d in datas {
         lw.pending.insert(d.name.clone(), d.params.len());
     }
@@ -122,7 +106,7 @@ pub fn lower_entry(datas: &[SData], e: &SExpr) -> Result<Lowered, SurfaceError> 
         lw.declare_data(d)?;
     }
     lw.pending.clear();
-    let expr = lw.lower_expr(e, &Scope::default())?;
+    let expr = lw.lower_expr(e)?;
     Ok(Lowered {
         data_env: lw.data_env,
         expr,
@@ -130,33 +114,90 @@ pub fn lower_entry(datas: &[SData], e: &SExpr) -> Result<Lowered, SurfaceError> 
     })
 }
 
-#[derive(Clone, Debug, Default)]
+/// What a name resolves to, in three namespaces. One `Scope` lives for
+/// the whole lowering: binding shadows in place and records what it
+/// replaced, and leaving a binder's scope restores it, so entering a
+/// scope never copies the maps.
+#[derive(Debug, Default)]
 struct Scope {
     vars: HashMap<String, Name>,
     tyvars: HashMap<String, Name>,
     /// Join-point labels live in their own namespace: a label is only
     /// reachable through `jump`, never as a value.
     joins: HashMap<String, Name>,
+    /// (namespace, source name, the binding it shadowed).
+    undo: Vec<(Ns, String, Option<Name>)>,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Ns {
+    Var,
+    TyVar,
+    Join,
+}
+
+impl Scope {
+    fn map(&mut self, ns: Ns) -> &mut HashMap<String, Name> {
+        match ns {
+            Ns::Var => &mut self.vars,
+            Ns::TyVar => &mut self.tyvars,
+            Ns::Join => &mut self.joins,
+        }
+    }
+
+    /// Bind `x` to `n` until the enclosing [`Scope::restore`].
+    fn bind(&mut self, ns: Ns, x: &str, n: &Name) {
+        let old = self.map(ns).insert(x.to_string(), n.clone());
+        self.undo.push((ns, x.to_string(), old));
+    }
+
+    fn mark(&self) -> usize {
+        self.undo.len()
+    }
+
+    /// Leave every scope entered since `mark`, innermost first.
+    fn restore(&mut self, mark: usize) {
+        while self.undo.len() > mark {
+            let (ns, x, old) = self.undo.pop().expect("undo log above mark");
+            match old {
+                Some(n) => self.map(ns).insert(x, n),
+                None => self.map(ns).remove(&x),
+            };
+        }
+    }
 }
 
 struct Lowerer {
     data_env: DataEnv,
     supply: NameSupply,
-    types: HashMap<Name, Type>,
+    /// Γ for every value binder lowered so far, grown in place (names are
+    /// unique, so it never needs pruning) for typing `case` scrutinees.
+    gamma: Gamma,
+    scope: Scope,
     /// Headers of datatypes currently being declared (name → arity), so
     /// recursive and mutually recursive field types resolve.
     pending: HashMap<String, usize>,
 }
 
 impl Lowerer {
+    fn new() -> Self {
+        Lowerer {
+            data_env: DataEnv::prelude(),
+            supply: NameSupply::new(),
+            gamma: Gamma::new(),
+            scope: Scope::default(),
+            pending: HashMap::new(),
+        }
+    }
+
     fn declare_data(&mut self, d: &SData) -> Result<(), SurfaceError> {
-        let mut scope = Scope::default();
+        let mark = self.scope.mark();
         let ty_vars: Vec<Name> = d
             .params
             .iter()
             .map(|p| {
                 let n = self.supply.fresh(p);
-                scope.tyvars.insert(p.clone(), n.clone());
+                self.scope.bind(Ns::TyVar, p, &n);
                 n
             })
             .collect();
@@ -164,10 +205,11 @@ impl Lowerer {
         for (cname, fields) in &d.ctors {
             let mut tys = Vec::new();
             for f in fields {
-                tys.push(self.lower_ty(f, &scope, d.pos)?);
+                tys.push(self.lower_ty(f, d.pos)?);
             }
             ctors.push((Ident::new(cname), tys));
         }
+        self.scope.restore(mark);
         self.data_env
             .declare(Ident::new(&d.name), ty_vars, ctors)
             .map_err(|e| SurfaceError::Lower {
@@ -176,9 +218,10 @@ impl Lowerer {
             })
     }
 
-    fn lower_ty(&mut self, t: &STy, scope: &Scope, pos: Pos) -> Result<Type, SurfaceError> {
+    fn lower_ty(&mut self, t: &STy, pos: Pos) -> Result<Type, SurfaceError> {
         match t {
-            STy::Var(v) => scope
+            STy::Var(v) => self
+                .scope
                 .tyvars
                 .get(v)
                 .map(|n| Type::Var(n.clone()))
@@ -219,29 +262,28 @@ impl Lowerer {
                 }
                 let args2 = args
                     .iter()
-                    .map(|a| self.lower_ty(a, scope, pos))
+                    .map(|a| self.lower_ty(a, pos))
                     .collect::<Result<_, _>>()?;
                 Ok(Type::Con(Ident::new(name), args2))
             }
-            STy::Fun(a, b) => Ok(Type::fun(
-                self.lower_ty(a, scope, pos)?,
-                self.lower_ty(b, scope, pos)?,
-            )),
+            STy::Fun(a, b) => Ok(Type::fun(self.lower_ty(a, pos)?, self.lower_ty(b, pos)?)),
             STy::Forall(v, body) => {
                 let n = self.supply.fresh(v);
-                let mut s2 = scope.clone();
-                s2.tyvars.insert(v.clone(), n.clone());
-                Ok(Type::forall(n, self.lower_ty(body, &s2, pos)?))
+                let mark = self.scope.mark();
+                self.scope.bind(Ns::TyVar, v, &n);
+                let body2 = self.lower_ty(body, pos)?;
+                self.scope.restore(mark);
+                Ok(Type::forall(n, body2))
             }
         }
     }
 
     #[allow(clippy::too_many_lines)]
-    fn lower_expr(&mut self, e: &SExpr, scope: &Scope) -> Result<Expr, SurfaceError> {
+    fn lower_expr(&mut self, e: &SExpr) -> Result<Expr, SurfaceError> {
         match e {
             SExpr::Lit(n) => Ok(Expr::Lit(*n)),
             SExpr::Var(x, pos) => {
-                scope
+                self.scope
                     .vars
                     .get(x)
                     .map(Expr::var)
@@ -250,28 +292,29 @@ impl Lowerer {
                         msg: format!("variable `{x}` is not in scope"),
                     })
             }
-            SExpr::Con(c, pos) => self.lower_con(c, &[], &[], scope, *pos),
-            SExpr::App(..) | SExpr::TyApp(..) => self.lower_app(e, scope),
+            SExpr::Con(c, pos) => self.lower_con(c, &[], &[], *pos),
+            SExpr::App(..) | SExpr::TyApp(..) => self.lower_app(e),
             SExpr::Lam(binders, body) => {
-                let mut s2 = scope.clone();
+                let mark = self.scope.mark();
                 let mut lowered: Vec<LoweredBinder> = Vec::new();
                 for b in binders {
                     match b {
                         SBinder::Ty(a) => {
                             let n = self.supply.fresh(a);
-                            s2.tyvars.insert(a.clone(), n.clone());
+                            self.scope.bind(Ns::TyVar, a, &n);
                             lowered.push(LoweredBinder::Ty(n));
                         }
                         SBinder::Val(x, t) => {
-                            let ty = self.lower_ty(t, &s2, Pos { line: 0, col: 0 })?;
+                            let ty = self.lower_ty(t, Pos { line: 0, col: 0 })?;
                             let n = self.supply.fresh(x);
-                            s2.vars.insert(x.clone(), n.clone());
-                            self.types.insert(n.clone(), ty.clone());
+                            self.scope.bind(Ns::Var, x, &n);
+                            self.gamma.bind_var(n.clone(), ty.clone());
                             lowered.push(LoweredBinder::Val(Binder::new(n, ty)));
                         }
                     }
                 }
-                let mut out = self.lower_expr(body, &s2)?;
+                let mut out = self.lower_expr(body)?;
+                self.scope.restore(mark);
                 for b in lowered.into_iter().rev() {
                     out = match b {
                         LoweredBinder::Ty(a) => Expr::ty_lam(a, out),
@@ -281,41 +324,45 @@ impl Lowerer {
                 Ok(out)
             }
             SExpr::Let(x, t, rhs, body, pos) => {
-                let ty = self.lower_ty(t, scope, *pos)?;
-                let rhs2 = self.lower_expr(rhs, scope)?;
+                let ty = self.lower_ty(t, *pos)?;
+                let rhs2 = self.lower_expr(rhs)?;
                 let n = self.supply.fresh(x);
-                self.types.insert(n.clone(), ty.clone());
-                let mut s2 = scope.clone();
-                s2.vars.insert(x.clone(), n.clone());
-                let body2 = self.lower_expr(body, &s2)?;
+                self.gamma.bind_var(n.clone(), ty.clone());
+                let mark = self.scope.mark();
+                self.scope.bind(Ns::Var, x, &n);
+                let body2 = self.lower_expr(body)?;
+                self.scope.restore(mark);
                 Ok(Expr::let1(Binder::new(n, ty), rhs2, body2))
             }
             SExpr::LetRec(binds, body, pos) => {
-                let mut s2 = scope.clone();
+                let mark = self.scope.mark();
                 let mut binders = Vec::new();
                 for (x, t, _) in binds {
-                    let ty = self.lower_ty(t, scope, *pos)?;
+                    // Value binders never bind type variables, so the
+                    // group's own names cannot change how `t` lowers.
+                    let ty = self.lower_ty(t, *pos)?;
                     let n = self.supply.fresh(x);
-                    self.types.insert(n.clone(), ty.clone());
-                    s2.vars.insert(x.clone(), n.clone());
+                    self.gamma.bind_var(n.clone(), ty.clone());
+                    self.scope.bind(Ns::Var, x, &n);
                     binders.push(Binder::new(n, ty));
                 }
                 let mut lowered = Vec::new();
                 for (b, (_, _, rhs)) in binders.into_iter().zip(binds) {
-                    lowered.push((b, self.lower_expr(rhs, &s2)?));
+                    lowered.push((b, self.lower_expr(rhs)?));
                 }
-                let body2 = self.lower_expr(body, &s2)?;
+                let body2 = self.lower_expr(body)?;
+                self.scope.restore(mark);
                 Ok(Expr::letrec(lowered, body2))
             }
-            SExpr::Case(scrut, alts, pos) => self.lower_case(scrut, alts, scope, *pos),
+            SExpr::Case(scrut, alts, pos) => self.lower_case(scrut, alts, *pos),
             SExpr::If(c, t, f) => Ok(Expr::ite(
-                self.lower_expr(c, scope)?,
-                self.lower_expr(t, scope)?,
-                self.lower_expr(f, scope)?,
+                self.lower_expr(c)?,
+                self.lower_expr(t)?,
+                self.lower_expr(f)?,
             )),
             SExpr::BinOp(op, a, b) => {
-                let pa = self.lower_expr(a, scope)?;
-                let pb = self.lower_expr(b, scope)?;
+                let pa = self.lower_expr(a)?;
+                let pb = self.lower_expr(b)?;
                 Ok(Expr::prim2(lower_op(*op), pa, pb))
             }
             // A negated literal *is* the negative literal (the grammar
@@ -324,31 +371,28 @@ impl Lowerer {
             // output, which the persistent cache's α-verification needs.
             SExpr::Neg(a) => match a.as_ref() {
                 SExpr::Lit(n) if n.checked_neg().is_some() => Ok(Expr::Lit(-n)),
-                _ => Ok(Expr::prim2(
-                    PrimOp::Sub,
-                    Expr::Lit(0),
-                    self.lower_expr(a, scope)?,
-                )),
+                _ => Ok(Expr::prim2(PrimOp::Sub, Expr::Lit(0), self.lower_expr(a)?)),
             },
-            SExpr::Join(rec, defs, body, pos) => self.lower_join(*rec, defs, body, scope, *pos),
+            SExpr::Join(rec, defs, body, pos) => self.lower_join(*rec, defs, body, *pos),
             SExpr::Jump(label, tys, args, ret, pos) => {
-                let j = scope
-                    .joins
-                    .get(label)
-                    .cloned()
-                    .ok_or_else(|| SurfaceError::Lower {
-                        pos: *pos,
-                        msg: format!("join point `{label}` is not in scope"),
-                    })?;
+                let j =
+                    self.scope
+                        .joins
+                        .get(label)
+                        .cloned()
+                        .ok_or_else(|| SurfaceError::Lower {
+                            pos: *pos,
+                            msg: format!("join point `{label}` is not in scope"),
+                        })?;
                 let tys2 = tys
                     .iter()
-                    .map(|t| self.lower_ty(t, scope, *pos))
+                    .map(|t| self.lower_ty(t, *pos))
                     .collect::<Result<Vec<_>, _>>()?;
                 let args2 = args
                     .iter()
-                    .map(|a| self.lower_expr(a, scope))
+                    .map(|a| self.lower_expr(a))
                     .collect::<Result<Vec<_>, _>>()?;
-                let ret2 = self.lower_ty(ret, scope, *pos)?;
+                let ret2 = self.lower_ty(ret, *pos)?;
                 Ok(Expr::jump(&j, tys2, args2, ret2))
             }
         }
@@ -359,21 +403,20 @@ impl Lowerer {
         rec: bool,
         defs: &[SJoinDef],
         body: &SExpr,
-        scope: &Scope,
         pos: Pos,
     ) -> Result<Expr, SurfaceError> {
         let labels: Vec<Name> = defs.iter().map(|d| self.supply.fresh(&d.name)).collect();
         // Recursive groups see their own labels; non-recursive bodies
         // don't (mirrors `let` vs `letrec`).
-        let mut def_scope = scope.clone();
+        let outer = self.scope.mark();
         if rec {
             for (d, n) in defs.iter().zip(&labels) {
-                def_scope.joins.insert(d.name.clone(), n.clone());
+                self.scope.bind(Ns::Join, &d.name, n);
             }
         }
         let mut jdefs = Vec::new();
         for (d, label) in defs.iter().zip(&labels) {
-            let mut s2 = def_scope.clone();
+            let mark = self.scope.mark();
             let mut ty_params = Vec::new();
             let mut params = Vec::new();
             for b in &d.binders {
@@ -389,19 +432,20 @@ impl Lowerer {
                             });
                         }
                         let n = self.supply.fresh(a);
-                        s2.tyvars.insert(a.clone(), n.clone());
+                        self.scope.bind(Ns::TyVar, a, &n);
                         ty_params.push(n);
                     }
                     SBinder::Val(x, t) => {
-                        let ty = self.lower_ty(t, &s2, pos)?;
+                        let ty = self.lower_ty(t, pos)?;
                         let n = self.supply.fresh(x);
-                        s2.vars.insert(x.clone(), n.clone());
-                        self.types.insert(n.clone(), ty.clone());
+                        self.scope.bind(Ns::Var, x, &n);
+                        self.gamma.bind_var(n.clone(), ty.clone());
                         params.push(Binder::new(n, ty));
                     }
                 }
             }
-            let body2 = self.lower_expr(&d.body, &s2)?;
+            let body2 = self.lower_expr(&d.body)?;
+            self.scope.restore(mark);
             jdefs.push(JoinDef {
                 name: label.clone(),
                 ty_params,
@@ -409,11 +453,13 @@ impl Lowerer {
                 body: body2,
             });
         }
-        let mut s_body = scope.clone();
-        for (d, n) in defs.iter().zip(&labels) {
-            s_body.joins.insert(d.name.clone(), n.clone());
+        if !rec {
+            for (d, n) in defs.iter().zip(&labels) {
+                self.scope.bind(Ns::Join, &d.name, n);
+            }
         }
-        let body2 = self.lower_expr(body, &s_body)?;
+        let body2 = self.lower_expr(body)?;
+        self.scope.restore(outer);
         if rec {
             Ok(Expr::joinrec(jdefs, body2))
         } else {
@@ -427,7 +473,7 @@ impl Lowerer {
 
     /// Lower an application spine. Constructor heads must be saturated
     /// (`C @ty… arg…` with exactly the declared counts).
-    fn lower_app(&mut self, e: &SExpr, scope: &Scope) -> Result<Expr, SurfaceError> {
+    fn lower_app(&mut self, e: &SExpr) -> Result<Expr, SurfaceError> {
         // Collect the spine.
         let mut tys_rev: Vec<&STy> = Vec::new();
         let mut args_rev: Vec<&SExpr> = Vec::new();
@@ -449,26 +495,26 @@ impl Lowerer {
             // For constructors the spine must be @tys… then args….
             let tys: Vec<&STy> = tys_rev.into_iter().rev().collect();
             let args: Vec<&SExpr> = args_rev.into_iter().rev().collect();
-            return self.lower_con(c, &tys, &args, scope, *pos);
+            return self.lower_con(c, &tys, &args, *pos);
         }
         // Ordinary application: rebuild left-to-right in source order.
         // (We must preserve interleaving of @ty and value arguments.)
-        fn rebuild(lw: &mut Lowerer, e: &SExpr, scope: &Scope) -> Result<Expr, SurfaceError> {
+        fn rebuild(lw: &mut Lowerer, e: &SExpr) -> Result<Expr, SurfaceError> {
             match e {
                 SExpr::App(f, a) => {
-                    let f2 = rebuild(lw, f, scope)?;
-                    let a2 = lw.lower_expr(a, scope)?;
+                    let f2 = rebuild(lw, f)?;
+                    let a2 = lw.lower_expr(a)?;
                     Ok(Expr::app(f2, a2))
                 }
                 SExpr::TyApp(f, t) => {
-                    let f2 = rebuild(lw, f, scope)?;
-                    let t2 = lw.lower_ty(t, scope, Pos { line: 0, col: 0 })?;
+                    let f2 = rebuild(lw, f)?;
+                    let t2 = lw.lower_ty(t, Pos { line: 0, col: 0 })?;
                     Ok(Expr::ty_app(f2, t2))
                 }
-                other => lw.lower_expr(other, scope),
+                other => lw.lower_expr(other),
             }
         }
-        rebuild(self, e, scope)
+        rebuild(self, e)
     }
 
     fn lower_con(
@@ -476,7 +522,6 @@ impl Lowerer {
         c: &str,
         tys: &[&STy],
         args: &[&SExpr],
-        scope: &Scope,
         pos: Pos,
     ) -> Result<Expr, SurfaceError> {
         let ident = Ident::new(c);
@@ -518,45 +563,29 @@ impl Lowerer {
         }
         let tys2 = tys
             .iter()
-            .map(|t| self.lower_ty(t, scope, pos))
+            .map(|t| self.lower_ty(t, pos))
             .collect::<Result<Vec<_>, _>>()?;
         let args2 = args
             .iter()
-            .map(|a| self.lower_expr(a, scope))
+            .map(|a| self.lower_expr(a))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Expr::Con(ident, tys2, args2))
     }
 
-    fn lower_case(
-        &mut self,
-        scrut: &SExpr,
-        alts: &[SAlt],
-        scope: &Scope,
-        pos: Pos,
-    ) -> Result<Expr, SurfaceError> {
-        let scrut2 = self.lower_expr(scrut, scope)?;
+    fn lower_case(&mut self, scrut: &SExpr, alts: &[SAlt], pos: Pos) -> Result<Expr, SurfaceError> {
+        let scrut2 = self.lower_expr(scrut)?;
         // Reconstruct the scrutinee's type so field binders can be
         // annotated (lenient: jumps/free tyvars are fine).
-        let mut gamma = Gamma::new();
-        for (n, t) in &self.types {
-            gamma.bind_var(n.clone(), t.clone());
-        }
         let scrut_ty =
-            type_of(&scrut2, &self.data_env, &gamma).map_err(|e| SurfaceError::Lower {
+            type_of(&scrut2, &self.data_env, &self.gamma).map_err(|e| SurfaceError::Lower {
                 pos,
                 msg: format!("cannot type case scrutinee: {e}"),
             })?;
         let mut out = Vec::new();
         for alt in alts {
             match &alt.pat {
-                SPat::Wild => out.push(Alt::simple(
-                    AltCon::Default,
-                    self.lower_expr(&alt.rhs, scope)?,
-                )),
-                SPat::Lit(n) => out.push(Alt::simple(
-                    AltCon::Lit(*n),
-                    self.lower_expr(&alt.rhs, scope)?,
-                )),
+                SPat::Wild => out.push(Alt::simple(AltCon::Default, self.lower_expr(&alt.rhs)?)),
+                SPat::Lit(n) => out.push(Alt::simple(AltCon::Lit(*n), self.lower_expr(&alt.rhs)?)),
                 SPat::Con(cname, fields) => {
                     let ident = Ident::new(cname);
                     let Type::Con(_, ty_args) = &scrut_ty else {
@@ -584,18 +613,19 @@ impl Lowerer {
                             ),
                         });
                     }
-                    let mut s2 = scope.clone();
+                    let mark = self.scope.mark();
                     let binders: Vec<Binder> = fields
                         .iter()
                         .zip(field_tys)
                         .map(|(f, t)| {
                             let n = self.supply.fresh(f);
-                            s2.vars.insert(f.clone(), n.clone());
-                            self.types.insert(n.clone(), t.clone());
+                            self.scope.bind(Ns::Var, f, &n);
+                            self.gamma.bind_var(n.clone(), t.clone());
                             Binder::new(n, t)
                         })
                         .collect();
-                    let rhs = self.lower_expr(&alt.rhs, &s2)?;
+                    let rhs = self.lower_expr(&alt.rhs)?;
+                    self.scope.restore(mark);
                     out.push(Alt {
                         con: AltCon::Con(ident),
                         binders,

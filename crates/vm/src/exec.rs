@@ -22,7 +22,7 @@
 
 use crate::ops::{CaseTable, ChargeKind, Code, Op, Program, RecBinding};
 use crate::profile::OpProfile;
-use crate::value::{ClosureCell, ThunkCell, ThunkState, VmError, VmValue};
+use crate::value::{ClosureCell, Fields, ThunkCell, ThunkState, VmError, VmValue};
 use fj_ast::PrimOp;
 use fj_eval::{EvalMode, Metrics, Outcome, Value};
 use std::cell::RefCell;
@@ -76,7 +76,7 @@ pub struct Vm<'p> {
     env: Vec<VmValue>,
     frames: Vec<FrameV>,
     base: usize,
-    empty_fields: Rc<Vec<VmValue>>,
+    empty_fields: Rc<Fields>,
     /// Every `letrec` cell this run backpatched with a capture of its own
     /// group (itself included): an `Rc` cycle nothing else frees, which
     /// dropping the VM breaks. Cells capturing no sibling are not cyclic,
@@ -161,7 +161,7 @@ impl<'p> Vm<'p> {
             env: Vec::with_capacity(256),
             frames: Vec::with_capacity(64),
             base: 0,
-            empty_fields: Rc::new(Vec::new()),
+            empty_fields: Rc::new(Fields::default()),
             rec_closures: Vec::new(),
             rec_thunks: Vec::new(),
         }
@@ -246,7 +246,7 @@ impl<'p> Vm<'p> {
                         VmValue::Con(tag, self.empty_fields.clone())
                     } else {
                         let split = self.stack.len() - arity as usize;
-                        VmValue::Con(tag, Rc::new(self.stack.split_off(split)))
+                        VmValue::Con(tag, Rc::new(Fields(self.stack.split_off(split))))
                     };
                     if charge {
                         self.metrics.con_allocs += 1;

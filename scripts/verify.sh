@@ -139,6 +139,16 @@ if [[ "$QUICK" -eq 0 ]]; then
   # to an in-protocol `proto` error, and the connection must keep serving.
   printf '%s\n' '}}not json at all{{' >&3; read -r GARBAGE <&3
   printf '%s\n' "$REQ" >&3; read -r AFTER <&3
+  # Large-frame smoke: a ~264 KiB compile request (below the 1 MiB frame
+  # limit) whose program hides a long comment full of escapes and
+  # multi-byte text. It must compile to the same term as the bare
+  # program, which then comes back as a cache hit with its fingerprint.
+  BIG_PAD="$(head -c 270000 /dev/zero | tr '\0' 'x')"
+  BIG_REQ="{\"op\": \"compile\", \"program\": \"-- é \\\"${BIG_PAD}\\\\\\ndef main : Int = 6 * 7;\"}"
+  SMALL_REQ='{"op": "compile", "program": "def main : Int = 6 * 7;"}'
+  (( ${#BIG_REQ} >= 262144 && ${#BIG_REQ} < 1048576 )) || { echo "verify: large frame is ${#BIG_REQ} bytes" >&2; exit 1; }
+  printf '%s\n' "$BIG_REQ" >&3; read -r BIG <&3
+  printf '%s\n' "$SMALL_REQ" >&3; read -r SMALL <&3
   printf '%s\n' '{"op": "stats"}' >&3; read -r STATS <&3
   printf '%s\n' '{"op": "shutdown"}' >&3; read -r BYE <&3
   exec 3>&-
@@ -146,6 +156,10 @@ if [[ "$QUICK" -eq 0 ]]; then
   echo "$SECOND" | grep -q '"cache": "hit"'  || { echo "verify: second serve compile was not a hit: $SECOND" >&2; exit 1; }
   echo "$GARBAGE" | grep -q '"tag": "proto"' || { echo "verify: garbage frame was not a proto error: $GARBAGE" >&2; exit 1; }
   echo "$AFTER"  | grep -q '"cache": "hit"'  || { echo "verify: connection dead after garbage frame: $AFTER" >&2; exit 1; }
+  echo "$BIG"    | grep -q '"ok": true, "cache": "miss"' || { echo "verify: large frame did not compile: ${BIG:0:300}" >&2; exit 1; }
+  echo "$BIG"    | grep -q '"size_after": 1,' || { echo "verify: large frame compiled to the wrong term: $BIG" >&2; exit 1; }
+  BIG_FP="$(echo "$BIG" | sed -n 's/.*"fingerprint": "\([0-9a-f]*\)".*/\1/p')"
+  [[ -n "$BIG_FP" ]] && echo "$SMALL" | grep -q "\"cache\": \"hit\", \"fingerprint\": \"$BIG_FP\"" || { echo "verify: large frame and bare program disagree: $BIG / $SMALL" >&2; exit 1; }
   echo "$STATS"  | grep -q '"service"'       || { echo "verify: stats lacks the service block: $STATS" >&2; exit 1; }
   echo "$BYE"    | grep -q '"shutting_down": true' || { echo "verify: serve shutdown failed: $BYE" >&2; exit 1; }
   wait "$SERVE_PID"

@@ -146,6 +146,24 @@ fn type_error_exits_3_with_diagnostic() {
     assert!(stderr.contains("not in scope"), "{stderr}");
 }
 
+/// Regression: freeing a 100,000-cell list recursed once per cell and
+/// overflowed the VM's stack, while the machine printed the answer.
+#[test]
+fn vm_frees_deep_data_without_overflow() {
+    for mode in ["value", "need"] {
+        let (stdout, stderr, ok) = fj(&[
+            "run",
+            "--backend",
+            "vm",
+            "--mode",
+            mode,
+            "programs/deep_list.fj",
+        ]);
+        assert!(ok, "mode {mode}: {stderr}");
+        assert_eq!(stdout.trim(), "200000", "mode {mode}");
+    }
+}
+
 #[test]
 fn usage_error_exits_2() {
     let (_, stderr, code) = fj_code(&["frobnicate"]);
