@@ -89,7 +89,7 @@ pub use guard::{
     RollbackReason, MAX_LEAKED_WORKERS,
 };
 pub use lru::ByteLru;
-pub use par::{optimize_many, par_map, par_threads, BoundedQueue};
+pub use par::{optimize_many, par_map, par_threads};
 pub use pipeline::{
     apply_pass, optimize, optimize_resilient, optimize_with_report, OptConfig, Pass,
 };

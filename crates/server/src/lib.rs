@@ -46,15 +46,16 @@
 //! `overloaded` (code 6) when admission control sheds a request or
 //! connection — the error object carries a `retry_after_ms` hint — and
 //! `internal` (code 7) when a request handler panicked and was isolated
-//! by the crash-only worker pool.
+//! by the crash-only request runner.
 //!
 //! ## Execution model & overload policy
 //!
-//! The daemon runs a **bounded worker pool** fed by a **bounded queue**
-//! ([`service`]): a fixed number of workers handle requests, a
-//! connection cap bounds admitted sockets, a max frame length is
-//! enforced *while reading*, idle connections are disconnected, and
-//! `shutdown` drains in-flight work under a deadline. When any bound is
+//! Each admitted connection runs its own requests on its own thread
+//! behind an **admission gate** ([`service`]): at most `workers` requests
+//! execute at once and at most `queue_cap` more wait, a connection cap
+//! bounds admitted sockets, a max frame length is enforced *while
+//! reading*, idle connections are disconnected, and `shutdown` drains
+//! in-flight work under a deadline. When any bound is
 //! hit the server *sheds* — answers `overloaded` — instead of queueing
 //! without limit. See `ServeConfig` for the knobs and DESIGN.md
 //! ("Service robustness & overload policy") for the rationale.
@@ -102,7 +103,7 @@ pub enum ServeError {
     Budget(String),
     /// The program failed at runtime (`run` op only).
     Runtime(String),
-    /// Admission control shed this request or connection: the worker
+    /// Admission control shed this request or connection: the wait
     /// queue or connection cap is full. Carries a client back-off hint.
     Overloaded {
         /// What was shed (request vs connection) and why.
@@ -110,7 +111,7 @@ pub enum ServeError {
         /// Suggested client back-off before retrying, in milliseconds.
         retry_after_ms: u64,
     },
-    /// The request handler panicked; the crash-only worker isolated it.
+    /// The request handler panicked; `catch_unwind` isolated it.
     Internal(String),
 }
 
@@ -375,7 +376,7 @@ impl ServerState {
     }
 
     /// A server with explicit cache geometry *and* service tuning
-    /// (worker pool size, queue capacity, connection cap, frame limit,
+    /// (execution slots, wait-queue capacity, connection cap, frame limit,
     /// idle timeout, drain deadline).
     pub fn with_config(shards: usize, cache_bytes: usize, config: ServeConfig) -> ServerState {
         let shards = shards.max(1);
@@ -428,8 +429,8 @@ impl ServerState {
     }
 
     /// The shard lock for one source key, surviving poisoning: a
-    /// panicking request handler (isolated by the crash-only worker
-    /// pool) must degrade to an `internal` error for *that* request, not
+    /// panicking request handler (isolated by `catch_unwind` around
+    /// each request) must degrade to an `internal` error for *that* request, not
     /// wedge every future cache lookup behind a poisoned mutex.
     fn lock_sources(&self, key: &SourceKey) -> MutexGuard<'_, SourceShard> {
         let mix = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(13)
@@ -595,8 +596,8 @@ impl ServerState {
             // Fault-injection ops for the chaos harness, dead unless the
             // server was built with `ServeConfig { chaos: true, .. }`:
             // a panic (exercises crash-only request isolation) and a
-            // sleep (fills the worker pool deterministically so tests
-            // can force the queue to shed).
+            // sleep (fills the execution slots deterministically so
+            // tests can force the gate to shed).
             "__chaos_panic" if self.config.chaos => {
                 panic!("chaos: injected request panic")
             }
@@ -1158,9 +1159,9 @@ pub struct LoadRow {
 pub struct LoadBench {
     /// One row per connection count, ascending.
     pub rows: Vec<LoadRow>,
-    /// Worker-pool size the server ran with.
+    /// Execution slots (requests running at once) the server ran with.
     pub workers: usize,
-    /// Request-queue capacity the server ran with.
+    /// Wait-queue capacity the server ran with.
     pub queue_cap: usize,
     /// Requests sent per connection per stage.
     pub per_conn: usize,

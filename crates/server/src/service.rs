@@ -1,46 +1,50 @@
-//! The service execution model under `fj serve`: a bounded worker pool
-//! with admission control, hostile-input framing, crash-only request
-//! handling, and a graceful drain.
+//! The service execution model under `fj serve`: each admitted
+//! connection's thread runs its own requests behind a bounded admission
+//! gate, with hostile-input framing, crash-only request handling, and a
+//! graceful drain.
 //!
 //! ## Execution model
 //!
 //! ```text
-//!             ┌─ reader thread per admitted connection (≤ max_conns) ─┐
+//!             ┌─ thread per admitted connection (≤ max_conns) ────────┐
 //! accept ───> │ FrameReader: max-line enforced *while reading*,       │
 //!  loop       │ idle timeout, lossy UTF-8 — hostile bytes become      │
 //! (nonblock,  │ in-protocol `proto` errors or counted disconnects     │
 //!  backoff)   └──────────────┬────────────────────────────────────────┘
-//!                            │ try_push          (full ⇒ shed with
-//!                   ┌────────▼─────────┐          `overloaded` + retry
-//!                   │  BoundedQueue    │          hint; never queued
-//!                   └────────┬─────────┘          without limit)
+//!                            │ Gate::admit        (`workers` running and
+//!                   ┌────────▼─────────┐           `queue_cap` waiting ⇒
+//!                   │  admission gate  │           shed with `overloaded`
+//!                   └────────┬─────────┘           + retry hint)
 //!             ┌──────────────▼───────────────┐
-//!             │ fixed pool of `workers`      │  catch_unwind per request:
-//!             │ threads: handle_line +       │  a handler panic is an
+//!             │ same thread, ≤ `workers` at  │  catch_unwind per request:
+//!             │ once: handle_line +          │  a handler panic is an
 //!             │ catch_unwind                 │  `internal` error response,
 //!             └──────────────────────────────┘  the daemon survives
 //! ```
 //!
-//! Admission control is two-level: a **connection cap** (`max_conns`)
-//! sheds whole connections at accept time, and the **bounded request
-//! queue** sheds individual requests when every worker is busy and the
-//! queue is full. Both sheds answer in-protocol with an `overloaded`
-//! error carrying a `retry_after_ms` hint, so a well-behaved client can
-//! back off instead of seeing a silent close.
+//! A request never crosses threads: the connection thread that framed it
+//! runs it and writes the answer. Admission control is two-level: a
+//! **connection cap** (`max_conns`) sheds whole connections at accept
+//! time, and the **admission gate** lets at most `workers` requests run
+//! at once and at most `queue_cap` more wait for a slot; the next one is
+//! shed. Both sheds answer in-protocol with an `overloaded` error
+//! carrying a `retry_after_ms` hint, so a well-behaved client can back
+//! off instead of seeing a silent close.
 //!
-//! Shutdown is a **drain**: the accept loop stops admitting, readers
-//! stop pulling new frames, queued requests finish, and
-//! [`serve`] returns once everything is idle or the `drain` deadline
-//! passes — whichever comes first. A worker stuck past the deadline is
-//! abandoned (crash-only exit), never waited on forever.
+//! Shutdown is a **drain**: the accept loop stops admitting, connection
+//! threads stop pulling new frames, requests already admitted (running
+//! or waiting) finish, and [`serve`] returns once every connection has
+//! ended or the `drain` deadline passes — whichever comes first. A
+//! request stuck past the deadline is abandoned (crash-only exit), never
+//! waited on forever.
 
 use crate::{error_response, ServeError, ServerState};
-use fj_core::{panic_message, quiet_panics, BoundedQueue};
+use fj_core::{panic_message, quiet_panics};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How often the nonblocking accept loop re-checks for connections and
@@ -64,9 +68,9 @@ const READ_POLL: Duration = Duration::from_millis(25);
 /// [`ServerState`] so `serve` and the `stats` op see the same values.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Fixed size of the request worker pool.
+    /// Most requests executing at once (each on its connection's thread).
     pub workers: usize,
-    /// Bounded request-queue capacity; a full queue sheds.
+    /// Most requests waiting for an execution slot; the next one sheds.
     pub queue_cap: usize,
     /// Maximum concurrently admitted connections; excess is shed.
     pub max_conns: usize,
@@ -114,7 +118,7 @@ enum Disconnect {
 }
 
 /// Service-layer counters. All request-level counters reconcile:
-/// `received == completed + failed + shed` once the queue is idle.
+/// `received == completed + failed + shed` once no request is in flight.
 #[derive(Default)]
 pub(crate) struct ServiceStats {
     pub(crate) conns_accepted: AtomicU64,
@@ -142,7 +146,8 @@ pub struct ServiceSnapshot {
     pub conns_shed: u64,
     /// Connections currently admitted (gauge).
     pub conns_active: u64,
-    /// Transient accept-loop errors (EMFILE and friends), backed off.
+    /// Transient accept-loop errors (EMFILE and friends, or no thread
+    /// for an accepted connection), backed off.
     pub accept_errors: u64,
     /// Non-empty request frames received from admitted connections.
     pub received: u64,
@@ -151,7 +156,8 @@ pub struct ServiceSnapshot {
     /// Requests answered with an in-protocol error (parse, type, …,
     /// including `internal` panic responses).
     pub failed: u64,
-    /// Requests shed with `overloaded` because the queue was full.
+    /// Requests shed with `overloaded` because every execution slot was
+    /// busy and `queue_cap` requests were already waiting.
     pub shed: u64,
     /// Request handlers that panicked (each also counts as `failed`).
     pub panics: u64,
@@ -185,10 +191,84 @@ impl ServiceStats {
     }
 }
 
-/// One request in flight between a reader and the worker pool.
-struct Job {
-    line: String,
-    reply: mpsc::SyncSender<(String, bool)>,
+/// Admission control for requests: at most `workers` run at once and
+/// at most `queue_cap` more wait for a slot; [`Gate::admit`] refuses the
+/// next one. Waiters block on their own connection thread and are
+/// admitted in no fixed order as slots free.
+struct Gate {
+    slots: Mutex<Slots>,
+    freed: Condvar,
+    workers: usize,
+    queue_cap: usize,
+}
+
+#[derive(Default)]
+struct Slots {
+    running: usize,
+    waiting: usize,
+}
+
+/// An execution slot, released on drop — also when the request that
+/// holds it panics.
+struct Permit<'a>(&'a Gate);
+
+impl Gate {
+    fn new(workers: usize, queue_cap: usize) -> Gate {
+        Gate {
+            slots: Mutex::new(Slots::default()),
+            freed: Condvar::new(),
+            workers: workers.max(1),
+            queue_cap: queue_cap.max(1),
+        }
+    }
+
+    /// A panic while the lock is held cannot leave the counts torn (each
+    /// update is one statement), so a poisoned lock is taken as is.
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Take an execution slot, waiting for one if every slot is busy and
+    /// fewer than `queue_cap` requests wait already.
+    ///
+    /// # Errors
+    ///
+    /// Returns how many requests are waiting when the request must be
+    /// shed instead; it sizes the retry hint.
+    fn admit(&self) -> Result<Permit<'_>, usize> {
+        let mut slots = self.lock();
+        if slots.running >= self.workers {
+            if slots.waiting >= self.queue_cap {
+                return Err(slots.waiting);
+            }
+            slots.waiting += 1;
+            while slots.running >= self.workers {
+                slots = self.freed.wait(slots).unwrap_or_else(|p| p.into_inner());
+            }
+            slots.waiting -= 1;
+        }
+        slots.running += 1;
+        Ok(Permit(self))
+    }
+
+    /// How many requests wait for a slot right now (racy, for hints).
+    fn waiting(&self) -> usize {
+        self.lock().waiting
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.0.lock();
+        slots.running -= 1;
+        // A waiter counts itself under the lock before it sleeps, so with
+        // none counted there is nobody to wake (and no wake syscall).
+        let wake = slots.waiting > 0;
+        drop(slots);
+        if wake {
+            self.0.freed.notify_one();
+        }
+    }
 }
 
 /// The backoff sleep after `consecutive` accept errors in a row:
@@ -202,9 +282,9 @@ pub fn accept_backoff(consecutive: u32) -> Duration {
 }
 
 /// The `retry_after_ms` hint attached to shed responses: proportional to
-/// the queue depth per worker, clamped to a sane band.
-fn retry_hint_ms(queue_len: usize, workers: usize) -> u64 {
-    let per_worker = queue_len as u64 / workers.max(1) as u64;
+/// the waiting requests per execution slot, clamped to a sane band.
+fn retry_hint_ms(waiting: usize, workers: usize) -> u64 {
+    let per_worker = waiting as u64 / workers.max(1) as u64;
     per_worker
         .saturating_add(1)
         .saturating_mul(10)
@@ -212,9 +292,9 @@ fn retry_hint_ms(queue_len: usize, workers: usize) -> u64 {
 }
 
 /// Serve requests on `listener` until a `shutdown` op arrives, then
-/// drain and return. The execution model is the bounded pool described
-/// in the module docs; all tuning comes from the state's
-/// [`ServeConfig`]. Blocks the calling thread.
+/// drain and return. The execution model is the gated thread per
+/// connection described in the module docs; all tuning comes from the
+/// state's [`ServeConfig`]. Blocks the calling thread.
 ///
 /// # Errors
 ///
@@ -224,17 +304,10 @@ fn retry_hint_ms(queue_len: usize, workers: usize) -> u64 {
 pub fn serve(listener: TcpListener, state: Arc<ServerState>) -> std::io::Result<()> {
     let cfg = state.config().clone();
     listener.set_nonblocking(true)?;
-    let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(cfg.queue_cap));
-    let live_workers = Arc::new(AtomicU64::new(cfg.workers as u64));
-    for _ in 0..cfg.workers {
-        let q = Arc::clone(&queue);
-        let st = Arc::clone(&state);
-        let live = Arc::clone(&live_workers);
-        std::thread::spawn(move || {
-            worker_loop(&q, &st);
-            live.fetch_sub(1, Ordering::SeqCst);
-        });
-    }
+    let gate = Arc::new(Gate::new(cfg.workers, cfg.queue_cap));
+    // Connection threads carry the port, so a thread listing tells
+    // which listener each belongs to.
+    let conn_thread = format!("fj-conn-{}", listener.local_addr()?.port());
 
     let mut consecutive_errors = 0u32;
     while !state.shutting_down() {
@@ -249,16 +322,26 @@ pub fn serve(listener: TcpListener, state: Arc<ServerState>) -> std::io::Result<
                 if sv.conns_active.load(Ordering::Relaxed) >= cfg.max_conns as u64 {
                     // Over the connection cap: shed in-protocol, close.
                     sv.conns_shed.fetch_add(1, Ordering::Relaxed);
-                    shed_connection(stream, &queue, &cfg);
+                    shed_connection(stream, &gate, &cfg);
                     continue;
                 }
                 sv.conns_active.fetch_add(1, Ordering::Relaxed);
                 let st = Arc::clone(&state);
-                let q = Arc::clone(&queue);
-                std::thread::spawn(move || {
-                    handle_connection(stream, &st, &q);
+                let g = Arc::clone(&gate);
+                let run = move || {
+                    handle_connection(stream, &st, &g);
                     st.service().conns_active.fetch_sub(1, Ordering::Relaxed);
-                });
+                };
+                let thread = std::thread::Builder::new().name(conn_thread.clone());
+                if thread.spawn(run).is_err() {
+                    // The OS refused a thread; the connection closes with
+                    // the dropped closure. Count and back off as for a
+                    // failed accept.
+                    sv.conns_active.fetch_sub(1, Ordering::Relaxed);
+                    sv.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    consecutive_errors = consecutive_errors.saturating_add(1);
+                    std::thread::sleep(accept_backoff(consecutive_errors));
+                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 consecutive_errors = 0;
@@ -275,21 +358,14 @@ pub fn serve(listener: TcpListener, state: Arc<ServerState>) -> std::io::Result<
         }
     }
 
-    // Graceful drain: stop accepting (listener drops here), let admitted
-    // connections notice the flag and queued requests finish, then close
-    // the queue so idle workers exit. Past the deadline, anything still
-    // running is abandoned rather than waited on.
+    // Graceful drain: stop accepting (listener drops here) and let
+    // admitted connections notice the flag. A connection thread ends only
+    // after its admitted requests (running or waiting) have answered, so
+    // no live connection means no request in flight. Past the deadline,
+    // anything still running is abandoned rather than waited on.
     drop(listener);
     let deadline = Instant::now() + cfg.drain;
-    while Instant::now() < deadline {
-        let idle = state.service().conns_active.load(Ordering::Relaxed) == 0 && queue.is_empty();
-        if idle {
-            break;
-        }
-        std::thread::sleep(DRAIN_POLL);
-    }
-    queue.close();
-    while live_workers.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+    while state.service().conns_active.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
         std::thread::sleep(DRAIN_POLL);
     }
     Ok(())
@@ -297,50 +373,46 @@ pub fn serve(listener: TcpListener, state: Arc<ServerState>) -> std::io::Result<
 
 /// Answer a connection shed at the connection cap with a single
 /// `overloaded` line, then close it.
-fn shed_connection(stream: TcpStream, queue: &BoundedQueue<Job>, cfg: &ServeConfig) {
-    let hint = retry_hint_ms(queue.len(), cfg.workers);
+fn shed_connection(stream: TcpStream, gate: &Gate, cfg: &ServeConfig) {
+    let hint = retry_hint_ms(gate.waiting(), cfg.workers);
     let e = ServeError::overloaded("connection shed: server at its connection cap", hint);
     let mut stream = stream;
     let _ = write_line(&mut stream, &error_response(&e));
 }
 
-/// Pull jobs until the queue closes and drains. Each request runs under
-/// `catch_unwind`: a panic becomes a structured `internal` error
-/// response and a counter bump — the worker, the connection, and the
-/// daemon all survive (crash-only requests).
-fn worker_loop(queue: &BoundedQueue<Job>, state: &ServerState) {
-    while let Some(job) = queue.pop() {
-        let run = || catch_unwind(AssertUnwindSafe(|| state.handle_line(&job.line)));
-        // Chaos harnesses inject panics on purpose; keep their reports
-        // off stderr. Real deployments keep the default hook and log.
-        let outcome = if state.config().chaos {
-            quiet_panics(run)
-        } else {
-            run()
-        };
-        let sv = state.service();
-        let (response, shutdown) = match outcome {
-            Ok(reply) => reply,
-            Err(payload) => {
-                sv.panics.fetch_add(1, Ordering::Relaxed);
-                let e = ServeError::Internal(format!(
-                    "request handler panicked: {}",
-                    panic_message(payload)
-                ));
-                (error_response(&e), false)
-            }
-        };
-        // Every response is built by `ok_response`/`error_response`, so
-        // the leading field is authoritative for the outcome counters.
-        if response.starts_with("{\"ok\": false") {
-            sv.failed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            sv.completed.fetch_add(1, Ordering::Relaxed);
+/// Run one admitted request under `catch_unwind`: a panic becomes a
+/// structured `internal` error response and a counter bump — the
+/// connection and the daemon both survive (crash-only requests).
+/// Returns the response line and whether the request asked to shut down.
+fn run_request(state: &ServerState, line: &str) -> (String, bool) {
+    let run = || catch_unwind(AssertUnwindSafe(|| state.handle_line(line)));
+    // Chaos harnesses inject panics on purpose; keep their reports off
+    // stderr. Real deployments keep the default hook and log.
+    let outcome = if state.config().chaos {
+        quiet_panics(run)
+    } else {
+        run()
+    };
+    let sv = state.service();
+    let (response, shutdown) = match outcome {
+        Ok(reply) => reply,
+        Err(payload) => {
+            sv.panics.fetch_add(1, Ordering::Relaxed);
+            let e = ServeError::Internal(format!(
+                "request handler panicked: {}",
+                panic_message(payload)
+            ));
+            (error_response(&e), false)
         }
-        // A dead connection can't hear the reply; the counters above
-        // already recorded the outcome.
-        let _ = job.reply.send((response, shutdown));
+    };
+    // Every response is built by `ok_response`/`error_response`, so the
+    // leading field is authoritative for the outcome counters.
+    if response.starts_with("{\"ok\": false") {
+        sv.failed.fetch_add(1, Ordering::Relaxed);
+    } else {
+        sv.completed.fetch_add(1, Ordering::Relaxed);
     }
+    (response, shutdown)
 }
 
 /// What one attempt to read a frame produced.
@@ -397,15 +469,23 @@ impl FrameReader {
                 .iter()
                 .position(|&b| b == b'\n')
             {
-                let pos = self.scanned + pos;
-                let rest = self.pending.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.pending, rest);
+                let end = self.scanned + pos + 1;
+                // The common frame ends the buffer and is taken as is;
+                // pipelined bytes after it move to a buffer of their own.
+                let mut line = if end == self.pending.len() {
+                    std::mem::take(&mut self.pending)
+                } else {
+                    let rest = self.pending.split_off(end);
+                    std::mem::replace(&mut self.pending, rest)
+                };
                 self.scanned = 0;
                 line.pop();
                 if line.last() == Some(&b'\r') {
                     line.pop();
                 }
-                return Frame::Line(String::from_utf8_lossy(&line).into_owned());
+                let line = String::from_utf8(line)
+                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+                return Frame::Line(line);
             }
             self.scanned = self.pending.len();
             if self.pending.len() > self.max_line {
@@ -446,10 +526,10 @@ fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
     writer.flush()
 }
 
-/// Drive one admitted connection: frame requests defensively, admit them
-/// to the worker queue (or shed), write responses in order, and record
-/// why the connection ended.
-fn handle_connection(stream: TcpStream, state: &ServerState, queue: &BoundedQueue<Job>) {
+/// Drive one admitted connection: frame requests defensively, run each
+/// behind the admission gate (or shed it), write responses in order, and
+/// record why the connection ended.
+fn handle_connection(stream: TcpStream, state: &ServerState, gate: &Gate) {
     let cfg = state.config();
     let sv = state.service();
     let mut framer = match stream.try_clone().and_then(|s| FrameReader::new(s, cfg)) {
@@ -467,33 +547,31 @@ fn handle_connection(stream: TcpStream, state: &ServerState, queue: &BoundedQueu
                     continue;
                 }
                 sv.received.fetch_add(1, Ordering::Relaxed);
-                let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-                let job = Job {
-                    line,
-                    reply: reply_tx,
+                let (response, shutdown) = match gate.admit() {
+                    Ok(permit) => {
+                        let reply = run_request(state, &line);
+                        // Free the slot before the write: a slow reader
+                        // must not hold an execution slot.
+                        drop(permit);
+                        reply
+                    }
+                    Err(waiting) => {
+                        // Admission refused: shed this request, keep the
+                        // connection — the client may back off and retry.
+                        sv.shed.fetch_add(1, Ordering::Relaxed);
+                        let hint = retry_hint_ms(waiting, cfg.workers);
+                        let e = ServeError::overloaded(
+                            "request shed: every execution slot is busy and the wait queue is full",
+                            hint,
+                        );
+                        (error_response(&e), false)
+                    }
                 };
-                if queue.try_push(job).is_err() {
-                    // Admission refused: shed this request, keep the
-                    // connection — the client may back off and retry.
-                    sv.shed.fetch_add(1, Ordering::Relaxed);
-                    let hint = retry_hint_ms(queue.len(), cfg.workers);
-                    let e = ServeError::overloaded("request shed: worker queue is full", hint);
-                    if write_line(&mut writer, &error_response(&e)).is_err() {
-                        break Disconnect::Io;
-                    }
-                    continue;
+                if write_line(&mut writer, &response).is_err() {
+                    break Disconnect::Io;
                 }
-                match reply_rx.recv() {
-                    Ok((response, shutdown)) => {
-                        if write_line(&mut writer, &response).is_err() {
-                            break Disconnect::Io;
-                        }
-                        if shutdown {
-                            break Disconnect::Clean;
-                        }
-                    }
-                    // The pool was torn down mid-request (drain deadline).
-                    Err(_) => break Disconnect::Io,
+                if shutdown {
+                    break Disconnect::Clean;
                 }
             }
             Frame::Eof | Frame::Shutdown => break Disconnect::Clean,
@@ -539,6 +617,104 @@ mod tests {
         assert_eq!(accept_backoff(11), ACCEPT_BACKOFF_CAP);
         // ...and huge streak counters don't overflow the shift.
         assert_eq!(accept_backoff(u32::MAX), ACCEPT_BACKOFF_CAP);
+    }
+
+    /// Poll `cond` for up to five seconds.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn gate_sheds_when_every_slot_and_the_queue_are_full() {
+        let gate = Gate::new(1, 1);
+        let held = gate.admit().expect("a free slot admits at once");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| gate.admit().map(drop).is_ok());
+            assert!(eventually(|| gate.waiting() == 1), "the waiter queues");
+            // One running, one waiting: the next request is refused and
+            // told how many wait (the retry hint's input).
+            assert!(matches!(gate.admit(), Err(1)));
+            drop(held);
+            assert!(waiter.join().unwrap(), "the waiter is admitted");
+        });
+        // Everything released: the gate admits again, shedding nothing.
+        assert!(gate.admit().is_ok());
+        assert_eq!(gate.waiting(), 0);
+    }
+
+    #[test]
+    fn gate_admits_a_waiter_when_a_slot_frees() {
+        let gate = Gate::new(1, 4);
+        let held = gate.admit().unwrap();
+        let (admitted_tx, admitted) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _permit = gate.admit().unwrap();
+                admitted_tx.send(()).unwrap();
+            });
+            assert!(
+                admitted.recv_timeout(Duration::from_millis(50)).is_err(),
+                "no slot is free while the first request runs"
+            );
+            drop(held);
+            admitted
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the freed slot admits the waiter");
+        });
+        // A request that panics while it holds a slot frees it on unwind.
+        let panicked = quiet_panics(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let _permit = gate.admit().unwrap();
+                panic!("request panics while running");
+            }))
+        });
+        assert!(panicked.is_err());
+        assert_eq!(
+            gate.lock().running,
+            0,
+            "the panicking request's slot is free"
+        );
+    }
+
+    #[test]
+    fn gate_bounds_concurrency_across_threads() {
+        const THREADS: usize = 6;
+        const ROUNDS: usize = 200;
+        // Two slots plus four waiting places hold all six threads, so
+        // every request is admitted and none is shed.
+        let gate = Gate::new(2, 4);
+        let running = AtomicU64::new(0);
+        let peak = AtomicU64::new(0);
+        let admitted = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        let _permit = gate.admit().expect("nothing sheds under the cap");
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        admitted.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert_eq!(admitted.load(Ordering::SeqCst), (THREADS * ROUNDS) as u64);
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(
+            (1..=2).contains(&peak),
+            "at most two run at once, saw {peak}"
+        );
+        let slots = gate.lock();
+        assert_eq!((slots.running, slots.waiting), (0, 0));
     }
 
     #[test]

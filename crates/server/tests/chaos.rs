@@ -10,7 +10,7 @@ use common::{assert_error, assert_healthy, eventually, Client, Server, PROBE};
 use fj_server::ServeConfig;
 use fj_testkit::chaos::{honest_client, run_episode, ChaosConfig, Episode};
 use fj_testkit::SplitMix64;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Fixed soak seed: failures replay exactly. Change it only on purpose.
 const SOAK_SEED: u64 = 0xF1_5E57;
@@ -255,4 +255,104 @@ fn new_connections_refused_while_draining() {
         Some("{\"ok\": true, \"slept_ms\": 500}"),
         "drain still finishes the in-flight request"
     );
+}
+
+#[test]
+fn two_workers_run_at_most_two_requests_at_once() {
+    let server = Server::spawn(ServeConfig {
+        workers: 2,
+        queue_cap: 4,
+        chaos: true,
+        ..ServeConfig::default()
+    });
+    let mut clients: Vec<Client> = (0..4)
+        .map(|_| Client::connect(server.addr).unwrap())
+        .collect();
+    let started = Instant::now();
+    for c in &mut clients {
+        c.send("{\"op\": \"__chaos_sleep\", \"ms\": 200}").unwrap();
+    }
+    for c in &mut clients {
+        assert_eq!(
+            c.recv().unwrap().as_deref(),
+            Some("{\"ok\": true, \"slept_ms\": 200}"),
+            "two run, two wait, none is shed"
+        );
+    }
+    // A lower bound only: four 200 ms sleeps through two slots take at
+    // least two rounds however fast the host is.
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed >= Duration::from_millis(400),
+        "more than two requests ran at once: {elapsed:?}"
+    );
+    assert!(server.shutdown());
+}
+
+#[test]
+fn panic_frees_the_only_execution_slot() {
+    let server = Server::spawn(ServeConfig {
+        workers: 1,
+        queue_cap: 1,
+        chaos: true,
+        ..ServeConfig::default()
+    });
+    let mut victim = Client::connect(server.addr).unwrap();
+    let resp = victim.roundtrip("{\"op\": \"__chaos_panic\"}").unwrap();
+    assert_error(&resp, "internal", 7);
+    // Had the panic kept the slot, this request would wait for ever.
+    let mut other = Client::connect(server.addr).unwrap();
+    let resp = other.roundtrip(PROBE).unwrap();
+    assert!(resp.starts_with("{\"ok\": true"), "got: {resp}");
+    assert_eq!(server.state.service_snapshot().panics, 1);
+    assert!(server.shutdown());
+}
+
+/// Threads of this process with the given name.
+#[cfg(target_os = "linux")]
+fn threads_named(name: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == name)
+        .count()
+}
+
+/// Each connection thread runs its own deadline-guarded passes on a
+/// guard worker of its own; both threads must end with the connection.
+/// Other tests in this binary run in parallel and start threads of
+/// their own, so only this server's connection threads (named after its
+/// port) and the guard workers, which no other test here starts, are
+/// counted.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_leave_no_threads_behind() {
+    const CONNS: usize = 20;
+    let server = Server::spawn(ServeConfig::default());
+    let conn_thread = format!("fj-conn-{}", server.addr.port());
+    let count = || threads_named(&conn_thread) + threads_named("fj-guard-worker");
+    let baseline = count();
+    let req = "{\"op\": \"compile\", \"program\": \"def main : Int = 1 + 2;\", \
+               \"deadline_ms\": 10000, \"cache\": \"bypass\"}";
+    let clients: Vec<Client> = (0..CONNS)
+        .map(|_| {
+            let mut c = Client::connect(server.addr).unwrap();
+            let resp = c.roundtrip(req).unwrap();
+            assert!(resp.starts_with("{\"ok\": true"), "got: {resp}");
+            c
+        })
+        .collect();
+    // Every open connection holds its thread and that thread's worker.
+    let open = count();
+    assert!(
+        open >= baseline + 2 * CONNS,
+        "expected {CONNS} connection threads and {CONNS} guard workers over {baseline}, saw {open}"
+    );
+    drop(clients);
+    assert!(
+        eventually(Duration::from_secs(5), || count() == baseline),
+        "threads left behind: {} over a baseline of {baseline}",
+        count()
+    );
+    assert!(server.shutdown());
 }

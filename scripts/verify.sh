@@ -149,6 +149,13 @@ if [[ "$QUICK" -eq 0 ]]; then
   (( ${#BIG_REQ} >= 262144 && ${#BIG_REQ} < 1048576 )) || { echo "verify: large frame is ${#BIG_REQ} bytes" >&2; exit 1; }
   printf '%s\n' "$BIG_REQ" >&3; read -r BIG <&3
   printf '%s\n' "$SMALL_REQ" >&3; read -r SMALL <&3
+  # Two connections at once: requests interleaved across them must each
+  # be answered on their own connection, in the order sent there.
+  exec 4<>"/dev/tcp/$SERVE_HOST/$SERVE_PORT"
+  RUN='{"op": "run", "program": "def main : Int = %d + %d;"}\n'
+  printf "$RUN" 1 1 >&3; printf "$RUN" 2 2 >&4; printf "$RUN" 3 3 >&3; printf "$RUN" 4 4 >&4
+  read -r TWO_2 <&4; read -r TWO_1 <&3; read -r TWO_4 <&4; read -r TWO_3 <&3
+  exec 4>&-
   printf '%s\n' '{"op": "stats"}' >&3; read -r STATS <&3
   printf '%s\n' '{"op": "shutdown"}' >&3; read -r BYE <&3
   exec 3>&-
@@ -160,7 +167,15 @@ if [[ "$QUICK" -eq 0 ]]; then
   echo "$BIG"    | grep -q '"size_after": 1,' || { echo "verify: large frame compiled to the wrong term: $BIG" >&2; exit 1; }
   BIG_FP="$(echo "$BIG" | sed -n 's/.*"fingerprint": "\([0-9a-f]*\)".*/\1/p')"
   [[ -n "$BIG_FP" ]] && echo "$SMALL" | grep -q "\"cache\": \"hit\", \"fingerprint\": \"$BIG_FP\"" || { echo "verify: large frame and bare program disagree: $BIG / $SMALL" >&2; exit 1; }
+  for N in 1 2 3 4; do
+    TWO="TWO_$N"
+    echo "${!TWO}" | grep -q "\"value\": \"$(( 2 * N ))\"" || { echo "verify: request $N of the two-connection smoke got: ${!TWO}" >&2; exit 1; }
+  done
   echo "$STATS"  | grep -q '"service"'       || { echo "verify: stats lacks the service block: $STATS" >&2; exit 1; }
+  stat_field() { echo "$STATS" | sed -n "s/.*\"$1\": \([0-9]*\).*/\1/p"; }
+  # The `stats` request is itself received but not yet answered.
+  (( $(stat_field received) == $(stat_field completed) + $(stat_field failed) + $(stat_field shed) + 1 )) \
+    || { echo "verify: served counters do not reconcile: $STATS" >&2; exit 1; }
   echo "$BYE"    | grep -q '"shutting_down": true' || { echo "verify: serve shutdown failed: $BYE" >&2; exit 1; }
   wait "$SERVE_PID"
   trap - EXIT

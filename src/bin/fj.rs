@@ -30,9 +30,9 @@
 //!                                   # (BENCH_serve_load.json)
 //! fj serve --port 0                 # compile service on an ephemeral
 //!                                   # port (prints the bound address)
-//! fj serve --workers 4 --queue 32   # explicit pool geometry: requests
-//!                                   # beyond the bounded queue are shed
-//!                                   # with an `overloaded` error
+//! fj serve --workers 4 --queue 32   # at most 4 requests run at once and
+//!                                   # 32 wait; the next one is shed with
+//!                                   # an `overloaded` error
 //! fj serve --cache-dir .fj-cache    # persistent cache tier: a restarted
 //!                                   # server is warm from request one
 //! fj fuzz --seed 1 --count 500      # fuzz farm: generated programs
@@ -136,7 +136,7 @@ fn usage() -> ExitCode {
          \x20                  (--cache-dir persists compiles across restarts;\n\
          \x20                   --cache-bytes budgets each in-memory cache layer)\n\
          \x20                  (compile service; newline-delimited JSON over TCP;\n\
-         \x20                   load beyond the bounded queue or connection cap is\n\
+         \x20                   load beyond the wait queue or connection cap is\n\
          \x20                   shed with an `overloaded` error, code 6)\n\
          \x20      fj fuzz [--seed N] [--count N] [--gen-depth N] [--fuel N]\n\
          \x20              [--time-budget-ms N] [--corpus DIR] [--no-adversarial]\n\
