@@ -26,7 +26,7 @@
 //! [`Arc::make_mut`]/[`Expr::unshare`], paying for a node copy only on
 //! the path that actually changed. `Arc` rather than `Rc` because terms
 //! cross threads: the pass guard runs deadline-guarded passes on watcher
-//! threads, and `optimize_many` fans whole pipelines out over a pool.
+//! threads, and batch compiles fan whole pipelines out over a pool.
 
 use crate::name::{Ident, Name};
 use crate::ty::Type;

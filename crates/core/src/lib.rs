@@ -89,7 +89,7 @@ pub use guard::{
     RollbackReason, MAX_LEAKED_WORKERS,
 };
 pub use lru::ByteLru;
-pub use par::{optimize_many, par_map, par_threads};
+pub use par::par_map;
 pub use pipeline::{
     apply_pass, optimize, optimize_resilient, optimize_with_report, OptConfig, Pass,
 };

@@ -17,8 +17,10 @@
 //! ## Example
 //!
 //! ```no_run
-//! let rows = fj_nofib::run_table1();
-//! println!("{}", fj_nofib::format_table1(&rows));
+//! let rows = fj_nofib::run_report();
+//! let fusion = fj_nofib::fusion_exp::run_fusion_experiment(&[100, 1_000, 10_000]);
+//! let ablation = fj_nofib::run_ablation();
+//! println!("{}", fj_nofib::format_report(&rows, &fusion, &ablation));
 //! ```
 
 #![warn(missing_docs)]
@@ -338,10 +340,16 @@ pub fn run_report() -> Vec<ReportRow> {
     programs().iter().map(run_program_with_reports).collect()
 }
 
-/// Render [`ReportRow`]s as the Table-1-style markdown report: machine
-/// metrics under both pipelines, then the optimizer activity (rewrite
-/// counters) that explains the deltas.
-pub fn format_report(rows: &[ReportRow]) -> String {
+/// Render the `fj report` markdown: machine metrics under both
+/// pipelines; the paper's evaluation (Table 1 from the same rows, the
+/// Sec. 5 fusion series, the pass ablation) as aligned text; backend
+/// wall times; then the optimizer activity (rewrite counters) that
+/// explains the deltas.
+pub fn format_report(
+    rows: &[ReportRow],
+    fusion: &[fusion_exp::FusionPoint],
+    ablation: &[AblationRow],
+) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     writeln!(out, "# fj report — baseline vs join points\n").unwrap();
@@ -381,6 +389,23 @@ pub fn format_report(rows: &[ReportRow]) -> String {
             r.row.delta_pct()
         )
         .unwrap();
+    }
+    let table1: Vec<Row> = rows.iter().map(|r| r.row.clone()).collect();
+    for (title, body) in [
+        (
+            "Table 1: allocations, baseline vs join points",
+            format_table1(&table1),
+        ),
+        (
+            "Sec. 5: stream-fusion series",
+            fusion_exp::format_fusion(fusion),
+        ),
+        (
+            "Ablation: join-points pipeline minus one pass",
+            format_ablation(ablation),
+        ),
+    ] {
+        writeln!(out, "\n## {title}\n\n```text\n{body}```").unwrap();
     }
     writeln!(out, "\n## Backend wall time (join-points pipeline)\n").unwrap();
     writeln!(
@@ -451,317 +476,6 @@ pub fn format_report(rows: &[ReportRow]) -> String {
         }
         writeln!(out).unwrap();
     }
-    out
-}
-
-/// Run the whole Table-1 experiment.
-pub fn run_table1() -> Vec<Row> {
-    programs().iter().map(run_program).collect()
-}
-
-/// One benchmark timed on both backends (join-points pipeline).
-#[derive(Clone, Debug)]
-pub struct BenchRow {
-    /// Program name.
-    pub name: &'static str,
-    /// Suite name.
-    pub suite: &'static str,
-    /// Machine wall time.
-    pub machine: std::time::Duration,
-    /// VM wall time.
-    pub vm: std::time::Duration,
-    /// Native-Rust candle wall time (the hardware ceiling; see
-    /// [`candles`]).
-    pub candle: std::time::Duration,
-    /// Total heap-allocation units (identical on both backends; checked).
-    pub total_allocs: u64,
-    /// Jumps taken (identical on both backends; checked).
-    pub jumps: u64,
-}
-
-/// Time every nofib program on both backends, verifying value and
-/// metric agreement along the way.
-///
-/// `iterations` timed runs per backend are averaged after `warmup`
-/// untimed runs; `iterations` is clamped to at least 1. The historical
-/// behaviour is `run_bench(1, 0)`.
-///
-/// # Panics
-///
-/// As [`measure_backend`]; also panics if the backends disagree.
-pub fn run_bench(iterations: u32, warmup: u32) -> Vec<BenchRow> {
-    let cfg = OptConfig::join_points();
-    let iters = iterations.max(1);
-    let mean = |total: std::time::Duration| total / iters;
-    programs()
-        .iter()
-        .map(|p| {
-            for _ in 0..warmup {
-                measure_backend(p.source, &cfg, Backend::Machine);
-                measure_backend(p.source, &cfg, Backend::Vm);
-            }
-            let mut machine = std::time::Duration::ZERO;
-            let mut vm = std::time::Duration::ZERO;
-            let mut metrics = None;
-            let mut value = 0i64;
-            for _ in 0..iters {
-                let (v_m, m_m, machine_wall) = measure_backend(p.source, &cfg, Backend::Machine);
-                let (v_v, m_v, vm_wall) = measure_backend(p.source, &cfg, Backend::Vm);
-                assert_eq!(v_m, v_v, "{}: backends disagree on the value", p.name);
-                assert_eq!(
-                    (m_m.let_allocs, m_m.arg_allocs, m_m.con_allocs, m_m.jumps),
-                    (m_v.let_allocs, m_v.arg_allocs, m_v.con_allocs, m_v.jumps),
-                    "{}: backends disagree on allocation metrics",
-                    p.name
-                );
-                machine += machine_wall;
-                vm += vm_wall;
-                metrics = Some(m_v);
-                value = v_v;
-            }
-            let m_v = metrics.expect("iterations >= 1");
-            let candle_fn = candles::candle(p.name)
-                .unwrap_or_else(|| panic!("{}: no native candle registered", p.name));
-            let (candle_value, candle_wall) = candles::time_candle(candle_fn);
-            assert_eq!(
-                candle_value, value,
-                "{}: native candle disagrees with the VM",
-                p.name
-            );
-            BenchRow {
-                name: p.name,
-                suite: p.suite.name(),
-                machine: mean(machine),
-                vm: mean(vm),
-                candle: candle_wall,
-                total_allocs: m_v.total_allocs(),
-                jumps: m_v.jumps,
-            }
-        })
-        .collect()
-}
-
-/// One nofib program timed through the optimizer (`fj bench --phase
-/// optimize`): serial wall time per full pipeline run plus the per-pass
-/// breakdown from the last iteration's [`PipelineReport`].
-#[derive(Clone, Debug)]
-pub struct OptBenchRow {
-    /// Program name.
-    pub name: &'static str,
-    /// Suite name.
-    pub suite: &'static str,
-    /// Mean wall time of one full `optimize_with_report` run, in ns.
-    pub optimize_ns: u128,
-    /// Term size entering the pipeline.
-    pub size_before: usize,
-    /// Term size leaving the pipeline.
-    pub size_after: usize,
-    /// Per-pass `(name, wall ns, rewrites fired)` from the last timed run.
-    pub passes: Vec<(&'static str, u128, u64)>,
-}
-
-/// The whole `--phase optimize` measurement: per-program rows plus the
-/// serial and parallel suite totals that BENCH_opt.json tracks.
-#[derive(Clone, Debug)]
-pub struct OptBench {
-    /// Per-program rows, suite order.
-    pub rows: Vec<OptBenchRow>,
-    /// Sum of the per-program serial means, in ns.
-    pub serial_ns: u128,
-    /// Mean wall time of optimizing the whole suite through
-    /// [`fj_core::optimize_many`], in ns.
-    pub parallel_ns: u128,
-    /// Worker threads the parallel driver used.
-    pub threads: usize,
-    /// Timed iterations per measurement.
-    pub iterations: u32,
-    /// Untimed warmup runs per measurement.
-    pub warmup: u32,
-}
-
-/// Time the optimizer (not the backends) over the whole nofib suite
-/// under the join-points pipeline: compile every program once, then for
-/// each program run the full pipeline `warmup` untimed plus
-/// `iterations` timed times (fresh name supply per run), and finally
-/// time the same batch through the parallel [`fj_core::optimize_many`]
-/// driver.
-///
-/// # Panics
-///
-/// On compile or optimizer errors — as [`measure`], a harness bug is a
-/// loud stop.
-pub fn run_bench_opt(iterations: u32, warmup: u32) -> OptBench {
-    let cfg = OptConfig::join_points();
-    let iters = iterations.max(1);
-    let compiled: Vec<(&'static str, &'static str, fj_surface::Lowered)> = programs()
-        .iter()
-        .map(|p| {
-            let lowered = compile(p.source).unwrap_or_else(|e| panic!("{}: compile: {e}", p.name));
-            (p.name, p.suite.name(), lowered)
-        })
-        .collect();
-
-    let mut rows = Vec::with_capacity(compiled.len());
-    let mut serial_ns = 0u128;
-    for (name, suite, lowered) in &compiled {
-        for _ in 0..warmup {
-            let mut supply = lowered.supply.clone();
-            optimize_with_report(&lowered.expr, &lowered.data_env, &mut supply, &cfg)
-                .unwrap_or_else(|e| panic!("{name}: optimize: {e}"));
-        }
-        let mut total = 0u128;
-        let mut last = None;
-        for _ in 0..iters {
-            let mut supply = lowered.supply.clone();
-            let start = std::time::Instant::now();
-            let out = optimize_with_report(&lowered.expr, &lowered.data_env, &mut supply, &cfg)
-                .unwrap_or_else(|e| panic!("{name}: optimize: {e}"));
-            total += start.elapsed().as_nanos();
-            last = Some(out.1);
-        }
-        let report = last.expect("iterations >= 1");
-        let mean = total / u128::from(iters);
-        serial_ns += mean;
-        rows.push(OptBenchRow {
-            name,
-            suite,
-            optimize_ns: mean,
-            size_before: report.census_before.size,
-            size_after: report.census_after.size,
-            passes: report
-                .passes
-                .iter()
-                .map(|p| (p.pass, p.wall.as_nanos(), p.rewrites.total()))
-                .collect(),
-        });
-    }
-
-    let threads = fj_core::par_threads(compiled.len());
-    let mut parallel_total = 0u128;
-    for _ in 0..iters {
-        let jobs: Vec<_> = compiled
-            .iter()
-            .map(|(_, _, l)| (l.expr.clone(), l.data_env.clone(), l.supply.clone()))
-            .collect();
-        let start = std::time::Instant::now();
-        let results = fj_core::optimize_many(jobs, &cfg);
-        parallel_total += start.elapsed().as_nanos();
-        for ((name, _, _), r) in compiled.iter().zip(results) {
-            r.unwrap_or_else(|e| panic!("{name}: optimize_many: {e}"));
-        }
-    }
-
-    OptBench {
-        rows,
-        serial_ns,
-        parallel_ns: parallel_total / u128::from(iters),
-        threads,
-        iterations: iters,
-        warmup,
-    }
-}
-
-/// Render an [`OptBench`] as the `BENCH_opt.json` snapshot (hand-written
-/// JSON; the workspace takes no serialization dependency).
-pub fn format_bench_opt_json(bench: &OptBench) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let speedup = |serial: u128, parallel: u128| {
-        if parallel == 0 {
-            f64::INFINITY
-        } else {
-            serial as f64 / parallel as f64
-        }
-    };
-    writeln!(out, "{{").unwrap();
-    writeln!(out, "  \"generated_by\": \"fj bench --phase optimize\",").unwrap();
-    writeln!(out, "  \"pipeline\": \"join_points\",").unwrap();
-    writeln!(out, "  \"unit\": \"nanoseconds\",").unwrap();
-    writeln!(out, "  \"iterations\": {},", bench.iterations).unwrap();
-    writeln!(out, "  \"warmup\": {},", bench.warmup).unwrap();
-    writeln!(out, "  \"threads\": {},", bench.threads).unwrap();
-    writeln!(out, "  \"programs\": [").unwrap();
-    for (i, r) in bench.rows.iter().enumerate() {
-        let comma = if i + 1 == bench.rows.len() { "" } else { "," };
-        let passes = r
-            .passes
-            .iter()
-            .map(|(pass, ns, rewrites)| {
-                format!("{{\"pass\": \"{pass}\", \"ns\": {ns}, \"rewrites\": {rewrites}}}")
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"suite\": \"{}\", \"optimize_ns\": {}, \
-             \"size_before\": {}, \"size_after\": {}, \"passes\": [{passes}]}}{comma}",
-            r.name, r.suite, r.optimize_ns, r.size_before, r.size_after
-        )
-        .unwrap();
-    }
-    writeln!(out, "  ],").unwrap();
-    writeln!(
-        out,
-        "  \"total\": {{\"serial_ns\": {}, \"parallel_ns\": {}, \"parallel_speedup\": {:.2}}}",
-        bench.serial_ns,
-        bench.parallel_ns,
-        speedup(bench.serial_ns, bench.parallel_ns)
-    )
-    .unwrap();
-    writeln!(out, "}}").unwrap();
-    out
-}
-
-/// Render bench rows as the `BENCH_vm.json` snapshot (hand-written
-/// JSON; the workspace takes no serialization dependency).
-pub fn format_bench_json(rows: &[BenchRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let machine_total: u128 = rows.iter().map(|r| r.machine.as_nanos()).sum();
-    let vm_total: u128 = rows.iter().map(|r| r.vm.as_nanos()).sum();
-    let candle_total: u128 = rows.iter().map(|r| r.candle.as_nanos()).sum();
-    let speedup = |m: u128, v: u128| {
-        if v == 0 {
-            f64::INFINITY
-        } else {
-            m as f64 / v as f64
-        }
-    };
-    writeln!(out, "{{").unwrap();
-    writeln!(out, "  \"generated_by\": \"fj bench\",").unwrap();
-    writeln!(out, "  \"pipeline\": \"join_points\",").unwrap();
-    writeln!(out, "  \"mode\": \"call_by_value\",").unwrap();
-    writeln!(out, "  \"unit\": \"nanoseconds\",").unwrap();
-    writeln!(out, "  \"programs\": [").unwrap();
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"suite\": \"{}\", \"machine_ns\": {}, \
-             \"vm_ns\": {}, \"speedup\": {:.2}, \"candle_ns\": {}, \
-             \"vm_over_candle\": {:.2}, \"total_allocs\": {}, \"jumps\": {}}}{comma}",
-            r.name,
-            r.suite,
-            r.machine.as_nanos(),
-            r.vm.as_nanos(),
-            speedup(r.machine.as_nanos(), r.vm.as_nanos()),
-            r.candle.as_nanos(),
-            speedup(r.vm.as_nanos(), r.candle.as_nanos()),
-            r.total_allocs,
-            r.jumps
-        )
-        .unwrap();
-    }
-    writeln!(out, "  ],").unwrap();
-    writeln!(
-        out,
-        "  \"total\": {{\"machine_ns\": {machine_total}, \"vm_ns\": {vm_total}, \
-         \"speedup\": {:.2}, \"candle_ns\": {candle_total}, \"vm_over_candle\": {:.2}}}",
-        speedup(machine_total, vm_total),
-        speedup(vm_total, candle_total)
-    )
-    .unwrap();
-    writeln!(out, "}}").unwrap();
     out
 }
 

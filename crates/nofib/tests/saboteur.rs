@@ -201,7 +201,7 @@ fn rolled_back_outcome_round_trips_through_report_markdown() {
         machine_wall: Duration::ZERO,
         vm_wall: Duration::ZERO,
     };
-    let md = format_report(&[row]);
+    let md = format_report(&[row], &[], &[]);
     assert!(
         md.contains("rolled back:"),
         "markdown lost the rollback outcome:\n{md}"

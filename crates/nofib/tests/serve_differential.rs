@@ -1,7 +1,8 @@
-//! ISSUE acceptance: the compile service is *transparent*. For every
-//! nofib program, under both real pipelines, four compile routes must
-//! agree up to α-equivalence — serial, parallel batch (`optimize_many`),
-//! served with a cold cache (miss), and served with a hot cache (hit) —
+//! The compile service is *transparent*. For every nofib program, under
+//! both real pipelines, four compile routes must agree up to
+//! α-equivalence — serial, the served parallel batch (one `compile`
+//! request carrying the whole suite), served with a cold cache (miss),
+//! and served with a hot cache (hit) —
 //! and the served term must produce the same value and allocation
 //! metrics as the serial one on both backends.
 //!
@@ -9,10 +10,11 @@
 //! the two ways a cache could lie (a stale or colliding entry served as
 //! a hit, and a cross-thread name-capture bug in the batch path).
 
-use fj_ast::alpha_eq;
-use fj_core::{optimize_many, optimize_with_report, OptConfig};
+use fj_ast::{alpha_eq, alpha_fingerprint};
+use fj_core::{optimize_with_report, OptConfig};
 use fj_eval::EvalMode;
 use fj_nofib::{programs, FUEL, VM_FUEL};
+use fj_server::json::{self, Value};
 use fj_server::{CacheDisposition, CompileOpts, ServerState};
 
 fn opts_for(preset: &str) -> CompileOpts {
@@ -36,15 +38,9 @@ fn served_compiles_match_serial_and_batch_on_every_program() {
 
         // Route 1: serial, the reference.
         let mut serial = Vec::new();
-        let mut jobs = Vec::new();
         for p in programs() {
             let lowered = fj_surface::compile(p.source)
                 .unwrap_or_else(|e| panic!("{} [{preset}]: compile: {e}", p.name));
-            jobs.push((
-                lowered.expr.clone(),
-                lowered.data_env.clone(),
-                lowered.supply.clone(),
-            ));
             let mut supply = lowered.supply;
             let (term, _) =
                 optimize_with_report(&lowered.expr, &lowered.data_env, &mut supply, &cfg)
@@ -52,14 +48,30 @@ fn served_compiles_match_serial_and_batch_on_every_program() {
             serial.push(term);
         }
 
-        // Route 2: the whole suite as one parallel batch.
-        let batched = optimize_many(jobs, &cfg);
-        for ((p, want), got) in programs().iter().zip(&serial).zip(batched) {
-            let (term, _) =
-                got.unwrap_or_else(|e| panic!("{} [{preset}]: batch optimize: {e}", p.name));
-            assert!(
-                alpha_eq(want, &term),
-                "{} [{preset}]: optimize_many disagrees with the serial pipeline",
+        // Route 2: the whole suite as one served batch compile, which
+        // fans out over `par_map`. Bypassing the cache keeps every
+        // program on the pipeline and leaves the cache cold for route 3.
+        let request = Value::obj([
+            ("op", Value::str("compile")),
+            (
+                "programs",
+                Value::Arr(programs().iter().map(|p| Value::str(p.source)).collect()),
+            ),
+            ("preset", Value::str(preset)),
+            ("cache", Value::str("bypass")),
+        ]);
+        let (response, _) = server.handle_line(&request.to_string());
+        let response = json::parse(&response).expect("batch response is JSON");
+        let results = response
+            .get("results")
+            .and_then(Value::as_arr)
+            .unwrap_or_else(|| panic!("[{preset}]: batch compile failed: {response}"));
+        assert_eq!(results.len(), serial.len(), "[{preset}]: one result each");
+        for ((p, want), got) in programs().iter().zip(&serial).zip(results) {
+            assert_eq!(
+                got.get("fingerprint").and_then(Value::as_str),
+                Some(format!("{:016x}", alpha_fingerprint(want)).as_str()),
+                "{} [{preset}]: served batch disagrees with the serial pipeline: {got}",
                 p.name
             );
         }

@@ -1,9 +1,9 @@
 //! The fuzz farm: every compile route, cross-checked pairwise, in
 //! parallel, with shrinking repros.
 //!
-//! [`run_farm`] fans generated programs out over the same scoped-thread
-//! pool that backs `optimize_many` ([`fj_core::par_map`]) and runs each
-//! one through the full **route matrix**:
+//! [`run_farm`] fans generated programs out over the scoped-thread pool
+//! that also backs the service's batch compiles ([`fj_core::par_map`])
+//! and runs each one through the full **route matrix**:
 //!
 //! | routes                  | oracle                                   |
 //! |-------------------------|------------------------------------------|

@@ -115,6 +115,20 @@ fn report_renders_markdown_comparison() {
     assert!(stdout.contains("| n-body |"), "{stdout}");
     // The headline shootout row: join points erase all allocations.
     assert!(stdout.contains("-100.0%"), "{stdout}");
+    // The paper's evaluation: Table 1 with its per-suite summary lines,
+    // the Sec. 5 fusion series, and the pass ablation.
+    assert!(stdout.contains("## Table 1"), "{stdout}");
+    assert!(stdout.contains("\nGeo. Mean "), "{stdout}");
+    assert!(
+        stdout.contains("## Sec. 5: stream-fusion series"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("Skipless   join-points     10000          0"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("## Ablation"), "{stdout}");
+    assert!(stdout.contains("\nwithout contify "), "{stdout}");
 }
 
 /// As [`fj`], but returning the raw exit code (the CLI's documented
